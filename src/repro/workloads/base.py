@@ -132,12 +132,20 @@ class ValueMemo:
                 return outputs
         return None
 
+    def admits(self, nbytes):
+        """Whether an entry whose inputs and outputs total ``nbytes`` is kept.
+
+        Callers that must copy an output before storing it ask first, so
+        an entry that :meth:`store` would discard costs no copy.
+        """
+        return nbytes <= self.max_entry_bytes
+
     def store(self, key, inputs, outputs):
         for array in outputs:
             array.setflags(write=False)
         footprint = sum(array.nbytes for array in inputs)
         footprint += sum(array.nbytes for array in outputs)
-        if footprint <= self.max_entry_bytes:
+        if self.admits(footprint):
             entries = self._entries.setdefault(key, [])
             if len(entries) >= self.max_entries:
                 entries.pop(0)

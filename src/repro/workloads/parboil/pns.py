@@ -26,25 +26,19 @@ FIRE_INCREMENT = np.int32(12345)
 TOKEN_LIMIT = np.int32(255)
 
 
-def fire_step(places, transition_seed, out=None, scratch=None):
-    """One synchronous firing round over the marking vector.
+def fire_step(places, transition_seed):
+    """One synchronous firing round over the marking vector (int32).
 
     In-place update chain: int32 addition wraps mod 2^32 and is
     associative, so folding the scalar terms and reusing one buffer gives
-    bit-identical markings to the naive expression with fewer temporaries
-    (this runs once per simulated round on every place).
-
-    ``out`` (the result buffer) and ``scratch`` (the rotation buffer) let
-    hot callers reuse allocations across rounds; neither may alias
-    ``places``.  Results are bit-identical with or without them.
+    bit-identical markings to the naive expression with fewer temporaries.
+    This is the reference's rule, kept independent of the kernel's
+    :func:`fire_sweep`.
     """
-    rotated = np.empty_like(places) if scratch is None else scratch
+    rotated = np.empty_like(places)
     rotated[0] = places[-1]
     rotated[1:] = places[:-1]
-    if out is None:
-        mixed = places * FIRE_MULTIPLIER
-    else:
-        mixed = np.multiply(places, FIRE_MULTIPLIER, out=out)
+    mixed = places * FIRE_MULTIPLIER
     mixed += rotated
     mixed += FIRE_INCREMENT + transition_seed
     mixed &= 0x7FFFFFFF
@@ -53,19 +47,32 @@ def fire_step(places, transition_seed, out=None, scratch=None):
     return mixed
 
 
-#: Reusable firing-round buffers keyed by marking length: two result
-#: buffers (ping-pong across a batched sweep) plus the rotation scratch.
-_FIRE_SCRATCH = {}
+def fire_sweep(marking, seeds):
+    """``len(seeds)`` firing rounds computed exactly in ``uint8``.
 
-
-def _fire_buffers(n_places):
-    buffers = _FIRE_SCRATCH.get(n_places)
-    if buffers is None:
-        buffers = tuple(
-            np.empty(n_places, dtype=np.int32) for _ in range(3)
-        )
-        _FIRE_SCRATCH[n_places] = buffers
-    return buffers
+    Byte-for-byte the low bytes of iterating :func:`fire_step` with each
+    seed in turn: the rule ends in ``& 0x7FFFFFFF & 255``, which is just
+    ``& 255``, and int32 wrap-around is consistent mod 256, so every
+    round is ``(x * (M mod 256) + left + ((INC + seed) mod 256)) mod 256``
+    on the residues alone.  The unsafe ``astype`` narrowing wraps mod 256,
+    so any int32 marking is a valid input.  Rounds ping-pong between two
+    ``uint8`` buffers (a quarter of the int32 memory traffic); the final
+    residues are returned for the caller to widen where it stores them.
+    """
+    multiplier = np.uint8(int(FIRE_MULTIPLIER) & 0xFF)
+    increments = (
+        (int(FIRE_INCREMENT) + np.asarray(seeds, dtype=np.int64)) & 0xFF
+    ).astype(np.uint8)
+    state = marking.astype(np.uint8)
+    spare = np.empty_like(state)
+    for increment in increments:
+        mixed = np.multiply(state, multiplier, out=spare)
+        mixed[1:] += state[:-1]
+        # A slice, not a 0-d scalar: scalar ``+=`` warns on uint8 overflow.
+        mixed[:1] += state[-1:]
+        mixed += increment
+        state, spare = mixed, state
+    return state
 
 
 def _write_stats(counters, marking, iteration):
@@ -75,14 +82,14 @@ def _write_stats(counters, marking, iteration):
 
 
 def _pns_fn(gpu, places, transitions, stats, n_places, iteration):
-    marking = gpu.view(places, "i4", n_places)
-    weights = gpu.view(transitions, "i4", n_places)
     # The transition structure enters the firing rule through a per-round
     # seed; the cost model charges the full streaming traffic.
-    seed = np.int32(int(weights[iteration % 1024]) & 0xFFFF)
-    out, _, scratch = _fire_buffers(n_places)
-    marking[:] = fire_step(marking, seed, out=out, scratch=scratch)
-    _write_stats(gpu.view(stats, "i4", 16), marking, iteration)
+    _fire_rounds(
+        gpu.view(places, "i4", n_places),
+        gpu.view(transitions, "i4", n_places),
+        gpu.view(stats, "i4", 16),
+        [iteration],
+    )
 
 
 #: Byte-exact reuse of whole batched sweeps: figure sweeps run the same
@@ -124,51 +131,50 @@ def _build_compiled_sweep(numba):
     return sweep
 
 
-def _pns_batched(gpu, launches):
-    """K deferred firing rounds in one sweep.
+def _fire_rounds(marking, weights, stats, iterations):
+    """Fire one round per entry of ``iterations``; store the final state.
 
-    Seeds for every round are gathered in one vectorized lookup (the
-    transition structure is constant across the batch — it is not in
-    ``batch_by``, and any host write to it would have flushed the queue),
-    the rounds ping-pong between two reused buffers, and only the *final*
-    marking and statistics are stored: intermediate device states are
-    unobservable between materialization barriers by construction, so the
-    resulting device bytes are identical to running ``_pns_fn`` K times
-    while skipping K-1 full-vector stat reductions and writebacks.
+    Seeds for every round are gathered in one vectorized lookup, the
+    rounds run as one :func:`fire_sweep`, and only the *final* marking
+    and statistics are stored.
     """
-    first = launches[0]
-    n_places = first["n_places"]
-    marking = gpu.view(first["places"], "i4", n_places)
-    weights = gpu.view(first["transitions"], "i4", n_places)
-    iterations = np.asarray(
-        [launch["iteration"] for launch in launches], dtype=np.int64
-    )
+    iterations = np.asarray(iterations, dtype=np.int64)
     # Bit-identical to np.int32(int(w) & 0xFFFF) per round: the mask keeps
     # every value non-negative and well inside int32.
     seeds = weights[iterations % 1024] & np.int32(0xFFFF)
-    key = (n_places, len(launches))
+    key = (marking.shape[0], len(iterations))
     inputs = (marking, seeds, iterations)
     cached = _SWEEP_MEMO.lookup(key, inputs)
     if cached is None:
         compiled = backend.compiled("pns-sweep", _build_compiled_sweep)
         if compiled is not None:
-            final = compiled(
-                marking, seeds, np.empty(n_places, dtype=np.int32)
-            )
+            final = compiled(marking, seeds, np.empty_like(marking))
         else:
-            ping, pong, scratch = _fire_buffers(n_places)
-            state = marking
-            for seed in seeds:
-                state = fire_step(state, seed, out=ping, scratch=scratch)
-                ping, pong = pong, ping
-            # Snapshot before the writeback: ``marking`` still holds the
-            # sweep's input (the rounds ping-pong through scratch buffers).
-            final = state.copy()
+            final = fire_sweep(marking, seeds)
+        # ``final`` is a fresh buffer, so the memo (which snapshots the
+        # inputs first) may keep it as is; the writeback widens it.
         cached = _SWEEP_MEMO.store(key, inputs, (final,))
     marking[:] = cached[0]
-    _write_stats(
-        gpu.view(first["stats"], "i4", 16), marking,
-        launches[-1]["iteration"],
+    _write_stats(stats, cached[0], int(iterations[-1]))
+
+
+def _pns_batched(gpu, launches):
+    """K deferred firing rounds in one sweep.
+
+    The transition structure is constant across the batch — it is not in
+    ``batch_by``, and any host write to it would have flushed the queue —
+    and intermediate device states are unobservable between
+    materialization barriers by construction, so the resulting device
+    bytes are identical to running ``_pns_fn`` K times while skipping K-1
+    full-vector stat reductions and writebacks.
+    """
+    first = launches[0]
+    n_places = first["n_places"]
+    _fire_rounds(
+        gpu.view(first["places"], "i4", n_places),
+        gpu.view(first["transitions"], "i4", n_places),
+        gpu.view(first["stats"], "i4", 16),
+        [launch["iteration"] for launch in launches],
     )
 
 

@@ -65,7 +65,8 @@ def _stencil_fn(gpu, vin, vout, n):
         # vin and vout are distinct ping-pong allocations, so the step can
         # write the device view directly (identical bytes, one copy fewer).
         stencil_reference_step(volume, out=result)
-        _STEP_MEMO.store(n, (volume,), (result.copy(),))
+        if _STEP_MEMO.admits(volume.nbytes + result.nbytes):
+            _STEP_MEMO.store(n, (volume,), (result.copy(),))
     else:
         np.copyto(result, cached[0])
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.util.errors import ReproError
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads import stencil3d
+from repro.workloads.base import ValueMemo, Workload, WorkloadResult
 from repro.workloads.vecadd import VectorAdd
 
 
@@ -90,3 +91,60 @@ class TestRepeatedExecution:
         workload = TestVerification.Lying()
         with pytest.raises(ReproError):
             workload.execute_stats(runs=1, mode="cuda")
+
+
+class TestValueMemoAdmission:
+    def test_admits_up_to_the_cap(self):
+        memo = ValueMemo(max_entry_bytes=64)
+        assert memo.admits(64)
+        assert not memo.admits(65)
+
+    def test_over_cap_store_retains_nothing(self):
+        memo = ValueMemo(max_entry_bytes=64)
+        inputs = (np.zeros(8, dtype=np.int32),)
+        outputs = (np.ones(16, dtype=np.int32),)
+        assert memo.store("key", inputs, outputs) is outputs
+        assert memo.lookup("key", inputs) is None
+
+    def test_under_cap_store_is_found(self):
+        memo = ValueMemo(max_entry_bytes=64)
+        inputs = (np.zeros(4, dtype=np.int32),)
+        outputs = (np.ones(4, dtype=np.int32),)
+        memo.store("key", inputs, outputs)
+        assert memo.lookup("key", (np.zeros(4, dtype=np.int32),)) is outputs
+
+
+class _RecordingMemo(ValueMemo):
+    """A ValueMemo that records the output snapshots handed to ``store``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.stored = []
+
+    def store(self, key, inputs, outputs):
+        self.stored.append(outputs)
+        return super().store(key, inputs, outputs)
+
+
+class TestStencilStepSnapshots:
+    """The stencil copies a step's result only when the memo keeps it."""
+
+    def _run(self, monkeypatch, max_entry_bytes):
+        memo = _RecordingMemo(max_entries=24, max_entry_bytes=max_entry_bytes)
+        monkeypatch.setattr(stencil3d, "_STEP_MEMO", memo)
+        result = stencil3d.Stencil3D(n=16, steps=2, dump_interval=2).execute(
+            protocol="lazy"
+        )
+        assert result.verified
+        return memo
+
+    def test_over_cap_steps_take_no_copy(self, monkeypatch):
+        # One step's input plus output is 2 * 16**3 * 4 bytes.
+        memo = self._run(monkeypatch, max_entry_bytes=2 * 16 ** 3 * 4 - 1)
+        assert memo.stored == []
+        assert memo._entries == {}
+
+    def test_admitted_steps_are_stored(self, monkeypatch):
+        memo = self._run(monkeypatch, max_entry_bytes=2 * 16 ** 3 * 4)
+        assert len(memo.stored) == 2
+        assert sum(len(entries) for entries in memo._entries.values()) == 2
