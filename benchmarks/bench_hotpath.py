@@ -324,9 +324,9 @@ def write_profile(path, top=25):
 def profile_artifact_path(path):
     """Stamp backend and scale into a profile artifact's filename.
 
-    A numba-backend or paper-scale profile is a different hot path from
-    the default; uploading them all as ``profile.txt`` made CI artifacts
-    overwrite each other and left the configuration unrecoverable.
+    A paper-scale profile is a different hot path from the quick one;
+    uploading them all as ``profile.txt`` made CI artifacts overwrite
+    each other and left the configuration unrecoverable.
     """
     path = pathlib.Path(path)
     stamp = environment_stamp()

@@ -32,7 +32,7 @@ def pytest_addoption(parser):
             help="ignore the persistent result cache under results/cache/",
         )
         group.addoption(
-            "--pool", choices=("persistent", "fork", "serial"),
+            "--pool", choices=("persistent", "serial"),
             default="persistent",
             help=(
                 "sweep engine shape (engine configuration only; results "

@@ -33,8 +33,8 @@ general-purpose linter knows about:
     the model checker.
 
 ``R005``
-    No ``multiprocessing.Pool`` construction outside the executor engine
-    (``experiments/executor.py``, ``experiments/pool.py``).  Ad-hoc pools
+    No ``multiprocessing.Pool`` construction outside the persistent pool
+    engine (``experiments/pool.py``).  Ad-hoc pools
     fork before the parent pre-warm, dodge the persistent engine's
     shared-memory plane and crash supervision, and their sweeps never
     reach the result caches deterministically — all fan-out goes through
@@ -88,7 +88,7 @@ _STATE_CORE = (
     "core/protocols/", "core/manager.py", "core/blocks.py", "core/region.py",
 )
 #: The only modules allowed to build worker pools: the sweep engine.
-_POOL_CORE = ("experiments/executor.py", "experiments/pool.py")
+_POOL_CORE = ("experiments/pool.py",)
 #: The only module allowed to move bytes between host and device stores:
 #: the transfer-ledger entry points live here (DESIGN.md §14).
 _LEDGER_CORE = ("hw/memory.py",)

@@ -14,7 +14,7 @@ import sys
 import time
 
 from repro.experiments.registry import REGISTRY, run_experiment
-from repro.experiments.executor import ExperimentExecutor, expand
+from repro.experiments.executor import POOL_KINDS, ExperimentExecutor, expand
 
 
 def main(argv=None):
@@ -63,14 +63,13 @@ def main(argv=None):
     )
     parser.add_argument(
         "--pool",
-        choices=("persistent", "fork", "serial"),
+        choices=POOL_KINDS,
         default="persistent",
         help=(
             "sweep engine: 'persistent' (worker pool forked once, "
-            "shared-memory result plane, cost-aware dispatch), 'fork' "
-            "(legacy one-shot multiprocessing.Pool baseline), or 'serial' "
+            "shared-memory result plane, cost-aware dispatch) or 'serial' "
             "(inline).  Engine configuration only — results and cache "
-            "entries are byte-identical across all three"
+            "entries are byte-identical across both"
         ),
     )
     parser.add_argument(
@@ -86,18 +85,6 @@ def main(argv=None):
         help=(
             "accelerator count for experiments with a device-count knob "
             "(failover); others reject the flag"
-        ),
-    )
-    parser.add_argument(
-        "--eager-transfers",
-        action="store_true",
-        help=(
-            "disable the transfer ledger: every host<->device copy moves "
-            "bytes eagerly at transfer time (the pre-ledger engine; "
-            "DESIGN.md §14).  Engine configuration only — never part of a "
-            "cache key; the CI byte-identity gate diffs this mode against "
-            "the default lazy engine.  Same switch as "
-            "REPRO_EAGER_TRANSFERS=1, which forked workers inherit"
         ),
     )
     parser.add_argument(
@@ -119,15 +106,6 @@ def main(argv=None):
     from repro.util.hostalloc import retain_arena
 
     retain_arena()
-    if args.eager_transfers:
-        # Environment + module default: workers inherit the env, and Gpus
-        # constructed in-process see the flipped default immediately.
-        import os
-
-        import repro.hw.gpu as gpu_module
-
-        os.environ["REPRO_EAGER_TRANSFERS"] = "1"
-        gpu_module.DEFAULT_DEFER_TRANSFERS = False
     if args.sanitize:
         # Checked results must come from checked runs, never from a cache
         # populated by unchecked ones; workers inherit the env switch.

@@ -16,8 +16,6 @@ independent :class:`~repro.experiments.spec.RunSpec` values (its
      metadata, falling back to the spec-declared :meth:`RunSpec.cost_hint`),
      outcomes returned through a shared-memory result plane, crashed
      workers respawned with their in-flight spec requeued exactly once;
-   * ``fork`` — the legacy one-shot ``multiprocessing.Pool.map`` (kept as
-     a baseline; degrades to serial where fork is unavailable);
    * ``serial`` — inline execution;
 
 3. **merges deterministically** — outcomes commit to the caches as they
@@ -31,7 +29,6 @@ call :func:`repro.experiments.common.run_spec`, which finds every outcome
 already in memory.
 """
 
-import multiprocessing
 import time
 
 from repro.experiments import common
@@ -39,12 +36,7 @@ from repro.experiments.registry import REGISTRY, run_experiment
 from repro.sim.tracing import HostCounters
 
 #: The executor's pool shapes (the CLI's ``--pool`` choices).
-POOL_KINDS = ("persistent", "fork", "serial")
-
-
-def _execute_spec(spec):
-    """Worker entry point: one spec, one fresh machine (no caching here)."""
-    return spec.execute()
+POOL_KINDS = ("persistent", "serial")
 
 
 def expand(experiment_ids, quick=False, devices=None):
@@ -151,10 +143,7 @@ class ExperimentExecutor:
                 pool_engine.rebuild_memoized_inputs(
                     pool_engine.distinct_configs(missing)
                 )
-                if self.pool_kind == "fork":
-                    self._legacy_pool_prime(missing)
-                else:
-                    self._persistent_prime(missing)
+                self._persistent_prime(missing)
             else:
                 self._serial_prime(missing)
         self.stats = {
@@ -172,23 +161,6 @@ class ExperimentExecutor:
             timings[spec] = time.perf_counter() - started  # sanitizer: allow[R003]
             common.store(spec, outcome)
         self._record_timings(timings)
-
-    def _legacy_pool_prime(self, missing):
-        """The pre-engine baseline: one fork pool per sweep, pickle pipes."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # A spawn-only platform would lose the parent pre-warm in every
-            # pool child and recompute inputs per chunk; run inline instead
-            # of paying that silently (the persistent engine rebuilds
-            # per-worker and is the right shape there).
-            self.counters.increment("degraded_serial")
-            self._serial_prime(missing)
-            return
-        context = multiprocessing.get_context("fork")
-        processes = min(self.jobs, len(missing))
-        with context.Pool(processes=processes) as worker_pool:
-            outcomes = worker_pool.map(_execute_spec, missing)
-        for spec, outcome in zip(missing, outcomes):
-            common.store(spec, outcome)
 
     def _persistent_prime(self, missing):
         """Dispatch ``missing`` on the persistent engine, streaming merge."""

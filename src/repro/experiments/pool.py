@@ -1,8 +1,8 @@
 """Persistent worker pool with a shared-memory result plane.
 
-The legacy fan-out path (``multiprocessing.Pool.map``) pays a fresh fork
-per sweep and pickles every :class:`~repro.experiments.spec.SpecOutcome`
-back through a pipe.  This engine replaces both costs:
+A one-shot ``multiprocessing.Pool.map`` per sweep would pay a fresh fork
+every time and pickle every :class:`~repro.experiments.spec.SpecOutcome`
+back through a pipe.  This engine avoids both costs:
 
 * **workers fork once per executor lifetime** — after the parent has
   pre-warmed the memoized workload inputs and the retained malloc arena,
@@ -61,12 +61,6 @@ _SUPERVISE_INTERVAL_S = 0.05
 
 class WorkerCrash(RuntimeError):
     """A pool worker died twice on the same spec (requeue budget spent)."""
-
-
-def slab_bytes():
-    """Result-plane slab size (``REPRO_POOL_SLAB_BYTES`` overrides)."""
-    override = os.environ.get("REPRO_POOL_SLAB_BYTES")
-    return int(override) if override else DEFAULT_SLAB_BYTES
 
 
 def preferred_start_method():
@@ -239,7 +233,7 @@ class PersistentWorkerPool:
         self.jobs = max(1, int(jobs))
         self.start_method = start_method or preferred_start_method()
         self.context = multiprocessing.get_context(self.start_method)
-        self.slab_size = slab_size or slab_bytes()
+        self.slab_size = slab_size or DEFAULT_SLAB_BYTES
         self.counters = counters if counters is not None else HostCounters()
         self._workers = {}
         self._results = None

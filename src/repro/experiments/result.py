@@ -16,6 +16,8 @@ def environment_stamp():
     engine configuration; the stamp records the configuration a number was
     measured under so a mismatch is visible in the artifact itself.  Both
     ``bench_hotpath`` and ``bench_executor`` stamp their JSON with this.
+    Kernel numerics are always numpy; ``backend`` stays in the stamp
+    because stored artifacts and profile names carry it.
     """
     import subprocess as sp
 
@@ -27,14 +29,13 @@ def environment_stamp():
         ).stdout.strip()
     except (OSError, sp.CalledProcessError):
         commit = "unknown"
-    from repro.cuda.backend import active_backend
     from repro.experiments.common import active_scale
     from repro.hw.specs import GTX280, OPTERON_2222, PCIE_2_0_X16
     from repro.util.hostalloc import arena_retained
 
     return {
         "commit": commit,
-        "backend": active_backend(),
+        "backend": "numpy",
         # No REPRO_SCALE override means the quick presets are in effect.
         "scale": active_scale() or "quick",
         "devices": {

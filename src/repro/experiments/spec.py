@@ -68,13 +68,12 @@ class RunSpec:
     devices: int = 1              # accelerator count (multi-device when > 1)
     link_specs: tuple = ()        # per-device link preset names, or ()
     placement: str = "-"          # placement policy name; "-" when devices=1
-    backend: str = "numpy"        # kernel-numerics backend (cuda/backend.py)
 
     @classmethod
     def make(cls, workload, params=None, mode="gmac", protocol="rolling",
              layer="runtime", protocol_options=None, peer_dma=False,
              machine="reference", fault_plan=None, recovery=None,
-             devices=1, link_specs=None, placement=None, backend=None):
+             devices=1, link_specs=None, placement=None):
         """Build a normalized spec.
 
         Non-gmac modes ignore every GMAC knob, so those collapse to
@@ -120,12 +119,6 @@ class RunSpec:
                 )
         if fault_plan is None:
             recovery = None
-        if backend is None:
-            # The backend actually in effect for this process: a numba
-            # sweep must never share cache entries with a numpy one.
-            from repro.cuda.backend import active_backend
-
-            backend = active_backend()
         return cls(
             workload=workload,
             params=_as_items(params),
@@ -140,18 +133,11 @@ class RunSpec:
             devices=devices,
             link_specs=tuple(link_specs or ()),
             placement=placement,
-            backend=backend,
         )
 
     def key(self):
         """Canonical JSON key (stable across processes and sessions)."""
-        fields = asdict(self)
-        # The numpy backend is the baseline every existing key was minted
-        # under; only a non-default backend joins the key, so historical
-        # cache entries (and golden key fixtures) stay addressable.
-        if fields.get("backend") == "numpy":
-            del fields["backend"]
-        return json.dumps(fields, sort_keys=True, default=str)
+        return json.dumps(asdict(self), sort_keys=True, default=str)
 
     def cost_hint(self):
         """Spec-declared relative execution cost, for dispatch ordering.

@@ -28,9 +28,9 @@ import os
 from repro.sim.resource import Resource
 from repro.hw.memory import DeviceMemory
 
-#: Process-wide default for deferral; ``REPRO_EAGER_KERNELS=1`` restores
-#: the pre-deferral eager engine (used by the equivalence golden suite).
-DEFAULT_DEFER_NUMERICS = os.environ.get("REPRO_EAGER_KERNELS", "0") != "1"
+#: Process-wide default for deferral; ``Machine(defer_numerics=False)``
+#: selects the eager engine (the equivalence golden suite's oracle).
+DEFAULT_DEFER_NUMERICS = True
 
 #: Process-wide default for the transfer ledger (DESIGN.md §14);
 #: ``REPRO_EAGER_TRANSFERS=1`` restores eager byte-copying transfers

@@ -12,12 +12,10 @@ run, the single largest host-time cost in the hot-path benchmark.
 arena and ``mallopt(M_TRIM_THRESHOLD, INT_MAX)`` stops the arena top
 from being trimmed back.  After the first run warms the arena, repeat
 runs touch only warm pages.  The switch is process-wide, idempotent,
-inherited by forked workers, and silently unavailable off glibc;
-``REPRO_RETAIN_ARENA=0`` disables it.
+inherited by forked workers, and silently unavailable off glibc.
 """
 
 import ctypes
-import os
 
 # glibc mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -42,14 +40,11 @@ def retain_arena():
     """Keep freed large buffers in the malloc arena (glibc only).
 
     Returns True when the tuning is (already) in effect, False when it
-    is disabled via ``REPRO_RETAIN_ARENA=0`` or unavailable on this
-    platform.  Safe to call any number of times.
+    is unavailable on this platform.  Safe to call any number of times.
     """
     global _applied
     if _applied:
         return True
-    if os.environ.get("REPRO_RETAIN_ARENA", "1") == "0":
-        return False
     try:
         libc = ctypes.CDLL(None)
         ok_trim = libc.mallopt(_M_TRIM_THRESHOLD, ctypes.c_int(2**31 - 1))

@@ -109,12 +109,8 @@ class ValueMemo:
         self._entries = {}
 
     def clear(self):
-        """Forget every remembered evaluation.
-
-        Needed when the numerics provider changes mid-process — tests that
-        flip ``REPRO_KERNEL_BACKEND`` must not let one backend's outputs
-        satisfy the other's lookups.
-        """
+        """Forget every remembered evaluation, so the next lookup of any
+        input recomputes (benchmark passes clear the memos between runs)."""
         self._entries.clear()
 
     def lookup(self, key, inputs):

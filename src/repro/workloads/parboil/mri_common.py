@@ -8,8 +8,6 @@ magnitude (Table 2).
 
 import numpy as np
 
-from repro.cuda import backend
-
 TWO_PI = np.float32(2.0 * np.pi)
 
 
@@ -52,52 +50,8 @@ def phase_matrix(k_coords, voxels, out=None):
     return np.multiply(product, TWO_PI, out=product)
 
 
-def _build_compiled_phase_terms(numba):
-    """Fused phase grid + cos/sin (REPRO_KERNEL_BACKEND=numba).
-
-    One float32 pass per (sample, voxel) cell with no materialized phase
-    matrix.  Reference and simulated kernel share :func:`_phase_terms`,
-    so within one process both see the same trigonometry.
-    """
-    two_pi = np.float32(2.0 * np.pi)
-
-    @numba.njit(cache=True)
-    def phase_terms(k_coords, voxels, cos_out, sin_out):
-        for i in range(k_coords.shape[0]):
-            kx = k_coords[i, 0]
-            ky = k_coords[i, 1]
-            kz = k_coords[i, 2]
-            for j in range(voxels.shape[0]):
-                arg = two_pi * (
-                    kx * voxels[j, 0]
-                    + ky * voxels[j, 1]
-                    + kz * voxels[j, 2]
-                )
-                cos_out[i, j] = np.cos(arg)
-                sin_out[i, j] = np.sin(arg)
-
-    return phase_terms
-
-
 def _phase_terms(k_coords, voxels, scratch):
     """(cos(arg), sin(arg)) of the phase grid, via scratch when given."""
-    compiled = backend.compiled(
-        "mri-phase-terms", _build_compiled_phase_terms
-    )
-    if compiled is not None:
-        shape = (k_coords.shape[0], voxels.shape[0])
-        if scratch is None:
-            cos_out = np.empty(shape, dtype=np.float32)
-            sin_out = np.empty(shape, dtype=np.float32)
-        else:
-            cos_out = scratch.take("cos", shape)
-            sin_out = scratch.take("sin", shape)
-        compiled(
-            k_coords.astype(np.float32, copy=False),
-            voxels.astype(np.float32, copy=False),
-            cos_out, sin_out,
-        )
-        return cos_out, sin_out
     if scratch is None:
         arg = phase_matrix(k_coords, voxels)
         return np.cos(arg), np.sin(arg)

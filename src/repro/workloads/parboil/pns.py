@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.util.units import MB
 from repro.analysis.contracts import access_modes
-from repro.cuda import backend
 from repro.cuda.kernels import Kernel
 from repro.workloads.base import Workload, ValueMemo, memoized_input
 
@@ -100,37 +99,6 @@ def _pns_fn(gpu, places, transitions, stats, n_places, iteration):
 _SWEEP_MEMO = ValueMemo(max_entries=12)
 
 
-def _build_compiled_sweep(numba):
-    """Compiled K-round firing sweep (REPRO_KERNEL_BACKEND=numba).
-
-    Bit-identical to iterating :func:`fire_step`: marking values stay in
-    [0, 255] after each round (and start below 64), so the int64 products
-    peak near 5.2e6 — far from any overflow — and the two masks collapse
-    to one ``& 255`` of a non-negative value.  The rotation reads the
-    pre-round neighbour through a carried temporary instead of a scratch
-    buffer.
-    """
-    mult = int(FIRE_MULTIPLIER)
-    inc = int(FIRE_INCREMENT)
-    limit = int(TOKEN_LIMIT)
-
-    @numba.njit(cache=True)
-    def sweep(marking, seeds, out):
-        n = marking.shape[0]
-        for i in range(n):
-            out[i] = marking[i]
-        for k in range(seeds.shape[0]):
-            seed = inc + np.int64(seeds[k])
-            previous = np.int64(out[n - 1])
-            for i in range(n):
-                current = np.int64(out[i])
-                out[i] = np.int32((current * mult + previous + seed) & limit)
-                previous = current
-        return out
-
-    return sweep
-
-
 def _fire_rounds(marking, weights, stats, iterations):
     """Fire one round per entry of ``iterations``; store the final state.
 
@@ -146,11 +114,7 @@ def _fire_rounds(marking, weights, stats, iterations):
     inputs = (marking, seeds, iterations)
     cached = _SWEEP_MEMO.lookup(key, inputs)
     if cached is None:
-        compiled = backend.compiled("pns-sweep", _build_compiled_sweep)
-        if compiled is not None:
-            final = compiled(marking, seeds, np.empty_like(marking))
-        else:
-            final = fire_sweep(marking, seeds)
+        final = fire_sweep(marking, seeds)
         # ``final`` is a fresh buffer, so the memo (which snapshots the
         # inputs first) may keep it as is; the writeback widens it.
         cached = _SWEEP_MEMO.store(key, inputs, (final,))

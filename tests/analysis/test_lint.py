@@ -132,9 +132,9 @@ class TestR005AdHocPools:
 
     def test_executor_engine_owns_pools(self, tmp_path):
         source = "pool = context.Pool(processes=2)\n"
-        assert check(
+        assert rules(check(
             tmp_path, source, relative="experiments/executor.py"
-        ) == []
+        )) == ["R005"]
         assert check(tmp_path, source, relative="experiments/pool.py") == []
 
     def test_reading_a_pool_attribute_is_fine(self, tmp_path):

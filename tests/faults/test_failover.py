@@ -251,7 +251,7 @@ class TestRecoveryExhaustion:
 
 
 class TestSeededDeterminism:
-    """Satellite: burst/loss plans replay identically across a fork pool."""
+    """Satellite: burst/loss plans replay identically across a worker pool."""
 
     def _burst_spec(self, workload="vecadd"):
         from repro.experiments.spec import RunSpec
@@ -278,7 +278,7 @@ class TestSeededDeterminism:
             devices=3,
         )
 
-    def test_fork_pool_outcomes_match_serial(self):
+    def test_pooled_outcomes_match_serial(self):
         from repro.experiments import common
         from repro.experiments.executor import ExperimentExecutor
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cuda import backend
 from repro.hw.machine import reference_system
 from repro.workloads.base import ValueMemo
 from repro.workloads.parboil import pns
@@ -67,14 +66,10 @@ class TestOracleIndependence:
     """The int32 reference still rejects a wrong residue kernel."""
 
     @pytest.fixture(autouse=True)
-    def _buggy_numpy_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        backend.reset()
+    def _buggy_sweep(self, monkeypatch):
         monkeypatch.setattr(pns, "fire_sweep", _sweep_without_wraparound)
         # A fresh memo: no correct stored sweep may mask the bug.
         monkeypatch.setattr(pns, "_SWEEP_MEMO", ValueMemo(max_entries=12))
-        yield
-        backend.reset()
 
     @pytest.mark.parametrize("protocol", ["lazy", "batch"])
     @pytest.mark.parametrize("deferred", [True, False])
