@@ -12,12 +12,9 @@ inside a region, so no per-block search structure is consulted.  The paper's
 Section 5.2 balanced tree ("GMAC keeps memory blocks in a balanced binary
 tree, which requires O(log2(n)) operations to locate a given block") is
 retained purely as the *cost oracle*: it is maintained at alloc/free time
-and its exact per-lookup comparison counts are sampled into flat per-region
-arrays, so every fault charges the identical virtual time the tree search
-would have cost while the dispatch itself is O(1).
+and every fault walks it once for its exact comparison count, so the fault
+charges the virtual time the paper's block search would have cost.
 """
-
-import os
 
 import numpy as np
 
@@ -65,11 +62,9 @@ class Manager:
         self.monitor = None
         self._regions = RangeMap()
         #: The Section 5.2 balanced tree, kept as the fault-cost oracle:
-        #: mutated only at alloc/free, never searched on the fault path.
+        #: mutated only at alloc/free, searched once per fault for its
+        #: step count.
         self._cost_tree = AvlTree()
-        #: Bumped on every cost-tree mutation; invalidates the per-region
-        #: fault-step caches.
-        self._steps_epoch = 0
         self._allocation_counter = 0
         # Figure 8's byte counters, split by direction and by cause.
         self.bytes_to_accelerator = 0
@@ -78,11 +73,6 @@ class Manager:
         #: Bytes moved device-to-device over peer DMA (region migrations).
         self.peer_bytes = 0
         self.fault_count = 0
-        #: Fault-storm batching: one physical SIGSEGV delivery may repair a
-        #: contiguous same-state run of blocks, replaying the per-block
-        #: virtual-time charges the individual deliveries would have made
-        #: (``REPRO_FAULT_STORMS=0`` restores per-block dispatch).
-        self._storms = os.environ.get("REPRO_FAULT_STORMS", "1") != "0"
         self.process.signals.register(self._on_segv)
 
     # -- shared address space (Section 4.2) -------------------------------------
@@ -154,7 +144,6 @@ class Manager:
             table = region.table
             for index in range(table.n_blocks):
                 self._cost_tree.insert(table.start_of(index), None)
-            self._steps_epoch += 1
             self.clock.advance(self.costs.block_setup_s * table.n_blocks)
             self.note_coherence(
                 "alloc", region.name, 0, table.n_blocks - 1,
@@ -210,7 +199,6 @@ class Manager:
             table = region.table
             for index in range(table.n_blocks):
                 self._cost_tree.delete(table.start_of(index))
-            self._steps_epoch += 1
             self._regions.remove(host_start)
             self.clock.advance(self.costs.mmap_s)
             self._unbind_transfer_plane(region)
@@ -390,34 +378,18 @@ class Manager:
             detail="sync" if sync else "eager",
         )
         if sync:
-            with self.accounting.measure(Category.COPY, label=region.flush_label):
-                if self.recovery is None:
-                    return self.layer.to_device(
-                        device_start, host_start, size, sync=True,
-                        owner=region.owner,
-                    )
-                return self._attempt_transfer(
-                    lambda: self.layer.to_device(
-                        device_start, host_start, size, sync=True,
-                        owner=region.owner,
-                    ),
-                    label=region.flush_label,
-                    device=region.owner,
-                )
-        self.eager_bytes_to_accelerator += size
-        with self.accounting.measure(Category.COPY, label=region.eager_label):
+            label = region.flush_label
+        else:
             # Only the issue cost lands on the CPU; the DMA itself overlaps.
-            if self.recovery is None:
-                return self.layer.to_device(
-                    device_start, host_start, size, sync=False,
-                    owner=region.owner,
-                )
+            label = region.eager_label
+            self.eager_bytes_to_accelerator += size
+        with self.accounting.measure(Category.COPY, label=label):
             return self._attempt_transfer(
                 lambda: self.layer.to_device(
-                    device_start, host_start, size, sync=False,
+                    device_start, host_start, size, sync=sync,
                     owner=region.owner,
                 ),
-                label=region.eager_label,
+                label=label,
                 device=region.owner,
             )
 
@@ -440,20 +412,14 @@ class Manager:
         device_start = region.device_start + (host_start - region.host_start)
         self.bytes_to_host += size
         with self.accounting.measure(Category.COPY, label=region.fetch_label):
-            if self.recovery is None:
-                result = self.layer.to_host(
+            result = self._attempt_transfer(
+                lambda: self.layer.to_host(
                     host_start, device_start, size, sync=True,
                     owner=region.owner,
-                )
-            else:
-                result = self._attempt_transfer(
-                    lambda: self.layer.to_host(
-                        host_start, device_start, size, sync=True,
-                        owner=region.owner,
-                    ),
-                    label=region.fetch_label,
-                    device=region.owner,
-                )
+                ),
+                label=region.fetch_label,
+                device=region.owner,
+            )
         # Sampled *after* the transfer: the D2H read is a materialization
         # barrier, so a non-zero pending count here means deferred kernel
         # numerics were NOT replayed before host bytes were produced.
@@ -611,139 +577,42 @@ class Manager:
 
     # -- fault dispatch -----------------------------------------------------------------
 
-    def _fault_steps_for(self, region):
-        """Per-block fault search costs, sampled from the cost oracle.
-
-        For any address inside a block, the Section 5.2 tree search visits
-        a fixed node path that depends only on whether the address *is* the
-        block's start key or lies strictly inside the block.  Both step
-        counts are sampled once per (region, tree epoch) into flat int32
-        arrays, so the fault path charges the exact tree cost with one
-        array read.
-        """
-        cached = region.fault_steps
-        if cached is not None and cached[0] == self._steps_epoch:
-            return cached
-        table = region.table
-        n = table.n_blocks
-        eq_steps = np.zeros(n, dtype=np.int32)
-        in_steps = np.zeros(n, dtype=np.int32)
-        for index in range(n):
-            key = table.start_of(index)
-            eq_steps[index] = self._cost_tree.floor_steps(key)[1]
-            in_steps[index] = self._cost_tree.floor_steps(key + 1)[1]
-        cached = (self._steps_epoch, eq_steps, in_steps)
-        region.fault_steps = cached
-        return cached
-
     def _on_segv(self, info):
         """The SIGSEGV handler GMAC registers (Section 4.3).
 
         Locates the faulting region via the ordered region map and the
         faulting block by shift/mask arithmetic, charging the paper's
-        O(log n) balanced-tree search cost from the sampled cost oracle,
-        then lets the protocol apply the Figure 6 state transition.
-        Returns False for addresses outside any shared region so unrelated
-        faults still crash the application.
-
-        When the interrupted access reaches past the faulting block
-        (``info.span``) and the following blocks share its state, the
-        protocol may absorb the whole run in this one delivery (a fault
-        storm): the remaining blocks' faults are *replayed* after the
-        first one — each paying its own delivery overhead, tree-search
-        cost, fault count and Figure 6 transition in exactly the order
-        the individual deliveries would have — so every virtual-time
-        figure is unchanged while the host-side fault loop collapses to
-        one delivery per run.
+        O(log n) balanced-tree search cost from the cost oracle, then lets
+        the protocol apply the Figure 6 state transition.  Returns False
+        for addresses outside any shared region so unrelated faults still
+        crash the application (after paying for the search that missed).
         """
-        extent = 1
         with self.accounting.measure(Category.SIGNAL, label="segv"):
             address = info.address
-            found = self._regions.find(address)
-            if found is None:
-                # Miss: charge exactly what the tree search for a
-                # non-shared address would have cost, then decline.
-                _, steps = self._cost_tree.floor_steps(address)
-                self.clock.advance(
-                    self.costs.signal_base_s
-                    + steps * self.costs.signal_per_step_s
-                )
-                return False
-            region = found[1]
-            table = region.table
-            index = table.index_of(address)
-            _, eq_steps, in_steps = self._fault_steps_for(region)
-            # Plain int: a numpy scalar here would poison the virtual clock
-            # (np.float64 reprs leak into every downstream figure).
-            steps = int(
-                eq_steps[index] if address == table.start_of(index)
-                else in_steps[index]
-            )
+            _, steps = self._cost_tree.floor_steps(address)
             self.clock.advance(
                 self.costs.signal_base_s + steps * self.costs.signal_per_step_s
             )
+            found = self._regions.find(address)
+            if found is None:
+                return False
+            region = found[1]
+            block = region.blocks[region.table.index_of(address)]
             self.fault_count += 1
             self.accounting.count_fault()
             monitor = self.monitor
-            if (monitor is None and self._storms
-                    and address + info.span > table.end_of(index)):
-                last_wanted = min(
-                    table.index_of(address + info.span - 1),
-                    table.n_blocks - 1,
-                )
-                run = table.run_length(
-                    index, last_wanted, table.states[index]
-                )
-                extent = self.protocol.storm_extent(
-                    region.blocks[index], info.access, run
-                )
             if monitor is None:
-                self.protocol.on_fault(region.blocks[index], info.access)
-            else:
-                # The fault itself was already judged by the race monitor's
-                # own signal handler (it runs first); the coherence work it
-                # triggers is GMAC-internal data movement.  Storms stay off
-                # while it is armed — it observes per-delivery.
-                monitor.enter_internal()
-                try:
-                    self.protocol.on_fault(region.blocks[index], info.access)
-                finally:
-                    monitor.exit_internal()
-        if extent > 1:
-            self._replay_storm(region, index + 1, index + extent - 1,
-                               info.access)
+                self.protocol.on_fault(block, info.access)
+                return True
+            # The fault itself was already judged by the race monitor's own
+            # signal handler (it runs first); the coherence work it
+            # triggers is GMAC-internal data movement.
+            monitor.enter_internal()
+            try:
+                self.protocol.on_fault(block, info.access)
+            finally:
+                monitor.exit_internal()
         return True
-
-    def _replay_storm(self, region, first, last, access):
-        """Charge and transition blocks [first, last] as-if faulted.
-
-        Each block replays the full per-delivery sequence — the kernel
-        delivery overhead, then its own SIGNAL measure frame charging the
-        tree-search cost (the resumed access faults exactly at the block
-        start, so the ``eq_steps`` column applies) and running the Figure 6
-        transition.  The frames are opened *after* the triggering fault's
-        frame closed: nesting them inside it would change the outer frame's
-        self-time arithmetic and drift the breakdown figures.
-        """
-        signals = self.process.signals
-        accounting = self.accounting
-        costs = self.costs
-        _, eq_steps, _ = self._fault_steps_for(region)
-        blocks = region.blocks
-        for index in range(first, last + 1):
-            signals.delivered += 1
-            self.clock.advance(signals.overhead_s)
-            accounting.charge(
-                Category.SIGNAL, signals.overhead_s, label="signal-delivery"
-            )
-            with accounting.measure(Category.SIGNAL, label="segv"):
-                self.clock.advance(
-                    costs.signal_base_s
-                    + int(eq_steps[index]) * costs.signal_per_step_s
-                )
-                self.fault_count += 1
-                accounting.count_fault()
-                self.protocol.on_fault(blocks[index], access)
 
     # -- call/return boundaries (the consistency model, Section 3.3) ---------------------
 

@@ -38,9 +38,6 @@ class SharedRegion:
         #: sync via :meth:`set_owner`/:meth:`rehome`.
         self.owner = 0
         self._blocks = None
-        #: Cached (epoch, eq_steps, in_steps) fault-cost arrays; owned by
-        #: the manager (see Manager._fault_steps_for).
-        self.fault_steps = None
         #: Transfer trace labels, prebuilt once: the manager attaches one to
         #: every copy, and the f-string showed up in fault-heavy profiles.
         self.flush_label = f"flush:{name}"

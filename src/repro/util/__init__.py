@@ -5,8 +5,8 @@ This package holds the pieces that every other subsystem leans on:
 * :mod:`repro.util.errors` -- the exception hierarchy,
 * :mod:`repro.util.units` -- byte/time unit helpers (``KB``, ``MB``, ...),
 * :mod:`repro.util.intervals` -- half-open address intervals and range maps,
-* :mod:`repro.util.avltree` -- the balanced binary tree the paper uses as
-  the shared-memory manager's block index,
+* :mod:`repro.util.avltree` -- the paper's balanced block tree, kept as
+  the shared-memory manager's fault-cost oracle,
 * :mod:`repro.util.stats` -- summary statistics over repeated runs,
 * :mod:`repro.util.tables` -- ASCII rendering of experiment tables/series.
 """

@@ -3,10 +3,11 @@
 The paper (Section 5.2) states that GMAC "keeps memory blocks in a balanced
 binary tree, which requires O(log2(n)) operations to locate a given block",
 and that with small block sizes this search time becomes the dominant
-page-fault overhead.  The shared-memory manager uses this tree as its block
-index, and the fault cost model charges ``t_base + t_node * height`` per
-lookup so Figure 11's small-block penalty is reproduced from the same data
-structure the paper used.
+page-fault overhead.  The shared-memory manager keeps every block start in
+this tree as its fault-cost oracle: it finds blocks by arithmetic, but each
+fault walks the tree once and charges ``t_base + t_node * steps``, so
+Figure 11's small-block penalty comes from the same data structure the
+paper used.
 """
 
 
@@ -66,30 +67,22 @@ def _rebalance(node):
 
 
 class AvlTree:
-    """Map from integer keys to values with ordered floor/ceiling queries.
+    """Map from integer keys to values with a step-counting floor query.
 
-    The tree counts comparisons performed by lookups (``search_steps``) so
+    :meth:`floor_steps` returns the comparisons its search performed, so
     the GMAC fault handler can convert tree work into virtual time.
     """
 
     def __init__(self):
         self._root = None
         self._size = 0
-        self.search_steps = 0
 
     def __len__(self):
         return self._size
 
-    def __contains__(self, key):
-        return self.get(key, default=None) is not None or self._has_key(key)
-
     @property
     def height(self):
         return _height(self._root)
-
-    def clear(self):
-        self._root = None
-        self._size = 0
 
     def insert(self, key, value):
         """Insert or replace ``key -> value``."""
@@ -137,52 +130,13 @@ class AvlTree:
             node.right, _ = self._delete(node.right, successor.key)
         return _rebalance(node), removed
 
-    def get(self, key, default=None):
-        """Exact lookup, counting comparison steps."""
-        node = self._root
-        while node is not None:
-            self.search_steps += 1
-            if key == node.key:
-                return node.value
-            node = node.left if key < node.key else node.right
-        return default
-
-    def _has_key(self, key):
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                return True
-            node = node.left if key < node.key else node.right
-        return False
-
-    def floor(self, key):
-        """Return (k, v) with the largest k <= key, or None.
-
-        This is the lookup the fault handler performs: blocks are keyed by
-        start address, and the block containing a faulting address is the
-        floor entry.
-        """
-        node = self._root
-        best = None
-        while node is not None:
-            self.search_steps += 1
-            if node.key == key:
-                return (node.key, node.value)
-            if node.key < key:
-                best = (node.key, node.value)
-                node = node.right
-            else:
-                node = node.left
-        return best
-
     def floor_steps(self, key):
-        """Like :meth:`floor`, but returns ``((k, v) or None, steps)``
-        without touching the shared ``search_steps`` counter.
+        """Return ``((k, v) or None, steps)``: the entry with the largest
+        k <= key, and the number of nodes the search visited.
 
-        The GMAC manager uses this to *sample* the Section 5.2 search cost
-        of the balanced tree — the step counts are cached in flat per-region
-        arrays, so the fault hot path charges the exact tree cost without
-        re-walking the tree (see ``Manager._fault_steps_for``).
+        This is the lookup the paper's fault handler performs: blocks are
+        keyed by start address, so the block containing a faulting address
+        is the floor entry, and ``steps`` prices the Section 5.2 search.
         """
         node = self._root
         best = None
@@ -198,37 +152,6 @@ class AvlTree:
                 node = node.left
         return best, steps
 
-    def ceiling(self, key):
-        """Return (k, v) with the smallest k >= key, or None."""
-        node = self._root
-        best = None
-        while node is not None:
-            self.search_steps += 1
-            if node.key == key:
-                return (node.key, node.value)
-            if node.key > key:
-                best = (node.key, node.value)
-                node = node.left
-            else:
-                node = node.right
-        return best
-
-    def min_item(self):
-        node = self._root
-        if node is None:
-            return None
-        while node.left is not None:
-            node = node.left
-        return (node.key, node.value)
-
-    def max_item(self):
-        node = self._root
-        if node is None:
-            return None
-        while node.right is not None:
-            node = node.right
-        return (node.key, node.value)
-
     def items(self):
         """Yield (key, value) in ascending key order."""
         stack = []
@@ -240,14 +163,6 @@ class AvlTree:
             node = stack.pop()
             yield (node.key, node.value)
             node = node.right
-
-    def keys(self):
-        for key, _ in self.items():
-            yield key
-
-    def values(self):
-        for _, value in self.items():
-            yield value
 
     def check_invariants(self):
         """Validate BST ordering and AVL balance; used by property tests."""

@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 from repro.util.avltree import AvlTree
 
 
+def _lookup(tree, key):
+    """Exact lookup through the floor search: the value stored at ``key``."""
+    found, _ = tree.floor_steps(key)
+    return found[1] if found is not None and found[0] == key else None
+
+
 class TestBasics:
     def test_empty(self):
         tree = AvlTree()
         assert len(tree) == 0
-        assert tree.get(5) is None
-        assert tree.floor(5) is None
-        assert tree.ceiling(5) is None
-        assert tree.min_item() is None
-        assert tree.max_item() is None
+        assert tree.height == 0
+        assert tree.floor_steps(5) == (None, 0)
         assert list(tree.items()) == []
 
     def test_insert_and_get(self):
@@ -24,17 +27,17 @@ class TestBasics:
         tree.insert(10, "a")
         tree.insert(5, "b")
         tree.insert(20, "c")
-        assert tree.get(10) == "a"
-        assert tree.get(5) == "b"
-        assert tree.get(20) == "c"
-        assert tree.get(7, default="missing") == "missing"
+        assert _lookup(tree, 10) == "a"
+        assert _lookup(tree, 5) == "b"
+        assert _lookup(tree, 20) == "c"
+        assert _lookup(tree, 7) is None
         assert len(tree) == 3
 
     def test_insert_replaces(self):
         tree = AvlTree()
         tree.insert(10, "a")
         tree.insert(10, "b")
-        assert tree.get(10) == "b"
+        assert _lookup(tree, 10) == "b"
         assert len(tree) == 1
 
     def test_delete(self):
@@ -42,7 +45,7 @@ class TestBasics:
         for key in (3, 1, 4, 1, 5, 9, 2, 6):
             tree.insert(key, key)
         tree.delete(4)
-        assert tree.get(4) is None
+        assert _lookup(tree, 4) is None
         assert len(tree) == 6  # 1 was a duplicate insert
         with pytest.raises(KeyError):
             tree.delete(4)
@@ -52,7 +55,7 @@ class TestBasics:
         for key in (10, 5, 20, 15, 25):
             tree.insert(key, key)
         tree.delete(10)
-        assert sorted(tree.keys()) == [5, 15, 20, 25]
+        assert [key for key, _ in tree.items()] == [5, 15, 20, 25]
         tree.check_invariants()
 
     def test_items_sorted(self):
@@ -60,20 +63,6 @@ class TestBasics:
         for key in (9, 2, 7, 1, 8):
             tree.insert(key, str(key))
         assert [k for k, _ in tree.items()] == [1, 2, 7, 8, 9]
-
-    def test_min_max(self):
-        tree = AvlTree()
-        for key in (9, 2, 7):
-            tree.insert(key, key)
-        assert tree.min_item() == (2, 2)
-        assert tree.max_item() == (9, 9)
-
-    def test_clear(self):
-        tree = AvlTree()
-        tree.insert(1, 1)
-        tree.clear()
-        assert len(tree) == 0
-        assert tree.get(1) is None
 
 
 class TestFloorCeiling:
@@ -83,23 +72,15 @@ class TestFloorCeiling:
         tree = AvlTree()
         for start in (0x0, 0x1000, 0x2000):
             tree.insert(start, f"block@{start:#x}")
-        assert tree.floor(0x0) == (0x0, "block@0x0")
-        assert tree.floor(0xFFF) == (0x0, "block@0x0")
-        assert tree.floor(0x1000) == (0x1000, "block@0x1000")
-        assert tree.floor(0x2FFF) == (0x2000, "block@0x2000")
+        assert tree.floor_steps(0x0)[0] == (0x0, "block@0x0")
+        assert tree.floor_steps(0xFFF)[0] == (0x0, "block@0x0")
+        assert tree.floor_steps(0x1000)[0] == (0x1000, "block@0x1000")
+        assert tree.floor_steps(0x2FFF)[0] == (0x2000, "block@0x2000")
 
     def test_floor_below_min(self):
         tree = AvlTree()
         tree.insert(100, "x")
-        assert tree.floor(99) is None
-
-    def test_ceiling(self):
-        tree = AvlTree()
-        for key in (10, 20, 30):
-            tree.insert(key, key)
-        assert tree.ceiling(15) == (20, 20)
-        assert tree.ceiling(20) == (20, 20)
-        assert tree.ceiling(31) is None
+        assert tree.floor_steps(99) == (None, 1)
 
 
 class TestBalance:
@@ -112,13 +93,13 @@ class TestBalance:
         assert tree.height <= int(1.44 * math.log2(n + 2)) + 1
         tree.check_invariants()
 
-    def test_search_steps_counter_grows_logarithmically(self):
+    def test_floor_steps_grow_logarithmically(self):
         tree = AvlTree()
         for key in range(4096):
             tree.insert(key, key)
-        tree.search_steps = 0
-        tree.floor(4095)
-        assert 1 <= tree.search_steps <= 2 * math.ceil(math.log2(4096)) + 2
+        found, steps = tree.floor_steps(4095)
+        assert found == (4095, 4095)
+        assert 1 <= steps <= tree.height <= 2 * math.ceil(math.log2(4096)) + 2
 
     @given(st.lists(st.integers(-1000, 1000), max_size=200))
     @settings(max_examples=50)
@@ -127,7 +108,7 @@ class TestBalance:
         for key in keys:
             tree.insert(key, key)
         tree.check_invariants()
-        assert sorted(set(keys)) == list(tree.keys())
+        assert sorted(set(keys)) == [key for key, _ in tree.items()]
 
     @given(
         st.lists(st.integers(0, 100), min_size=1, max_size=100),
@@ -152,5 +133,5 @@ class TestBalance:
         if model:
             for probe in range(-1, 102):
                 expected = max((k for k in model if k <= probe), default=None)
-                found = tree.floor(probe)
+                found = tree.floor_steps(probe)[0]
                 assert (found[0] if found else None) == expected
