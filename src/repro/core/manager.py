@@ -18,7 +18,7 @@ charges the virtual time the paper's block search would have cost.
 
 import numpy as np
 
-from repro.util.errors import AllocationError, GmacError
+from repro.util.errors import AllocationError, DeviceLostError, GmacError
 from repro.util.intervals import Interval, RangeMap
 from repro.hw.interconnect import Direction
 from repro.hw.memory import (
@@ -405,21 +405,32 @@ class Manager:
         memory's observation hook replays any queued kernels first.  A
         host fault that lands here therefore always sees post-kernel data,
         exactly as with the old eager engine.
+
+        A device loss declared mid-fetch goes through the recovery ladder,
+        after which the fetch retries on the region's new owner.
         """
         table = region.table
         host_start = table.start_of(index)
         size = table.end_of(index) - host_start
-        device_start = region.device_start + (host_start - region.host_start)
+        offset = host_start - region.host_start
         self.bytes_to_host += size
-        with self.accounting.measure(Category.COPY, label=region.fetch_label):
-            result = self._attempt_transfer(
-                lambda: self.layer.to_host(
-                    host_start, device_start, size, sync=True,
-                    owner=region.owner,
-                ),
-                label=region.fetch_label,
-                device=region.owner,
-            )
+        while True:
+            try:
+                with self.accounting.measure(
+                        Category.COPY, label=region.fetch_label):
+                    result = self._attempt_transfer(
+                        lambda: self.layer.to_host(
+                            host_start, region.device_start + offset, size,
+                            sync=True, owner=region.owner,
+                        ),
+                        label=region.fetch_label,
+                        device=region.owner,
+                    )
+                break
+            except DeviceLostError as error:
+                if self.recovery is None:
+                    raise
+                self.recovery.recover_device_loss(error)
         # Sampled *after* the transfer: the D2H read is a materialization
         # barrier, so a non-zero pending count here means deferred kernel
         # numerics were NOT replayed before host bytes were produced.

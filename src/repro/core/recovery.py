@@ -4,22 +4,19 @@ The paper's central asymmetry — all coherence state and actions live on
 the CPU — makes the host side a natural recovery point: GMAC always knows
 which blocks are host-canonical (DIRTY / READ_ONLY) and can re-create the
 accelerator's entire memory image from them.  :class:`RecoveryPolicy`
-exploits that in four ways:
+builds one recovery ladder on that fact:
 
-* **transient transfer faults** — bounded retry with virtual-time
-  exponential backoff; the failed attempts occupy the PCIe timeline (see
-  :meth:`repro.hw.interconnect.Link.faulted_transfer`) and the backoff
-  waits are charged to the ``Retry`` accounting category, so the chaos
-  experiment can report recovery overhead as its own break-down column;
-* **device OOM** — ``cudaMalloc`` failures trigger forced eager eviction
-  of the protocol's dirty blocks plus a rolling-size shrink (relieving
-  device-side staging pressure) before the allocation is retried;
-* **device loss** — the context is revived (device reset), every region's
-  allocation is replayed at its old address, and all blocks are flushed
-  from host-canonical state.  This is sound because device loss is only
-  injected at kernel-launch time (see :mod:`repro.faults.plan`): at that
-  point the host has just released — i.e. fully flushed — the shared
-  objects, so accelerator memory holds nothing the host has not seen;
+* **one retry loop** — transient transfer faults, device OOM and launch
+  rejections share bounded retries with virtual-time exponential backoff,
+  charged to the ``Retry`` accounting category.  Transfers add a watchdog
+  deadline (a wedged link escalates to a declared device loss, after
+  salvaging the device-only bytes); OOM adds forced eager eviction;
+* **one re-materialisation path** — every :class:`DeviceLostError`, at a
+  launch, in a host-fault fetch or inside recovery itself, goes through
+  the re-entrant :meth:`RecoveryPolicy.recover_device_loss`: reset the
+  lost device, re-place its regions (on a survivor, else in place), flush
+  every block from the host copy.  A loss during a rung trusts the host
+  checkpoint and climbs the ladder again, up to ``max_device_recoveries``;
 * **protocol degradation** — when the observed fault rate crosses a
   threshold the coherence protocol is downgraded rolling -> lazy -> batch
   at a call boundary: fewer, larger, synchronous transfers are easier to
@@ -30,6 +27,8 @@ whenever the machine has an *enabled* fault plan installed; without one,
 every hook below stays un-entered and fault-free runs are byte-identical
 to the pre-fault-injection library.
 """
+
+from contextlib import contextmanager
 
 from repro.util.errors import (
     CudaOutOfMemoryError,
@@ -44,43 +43,41 @@ from repro.hw.memory import copy_d2h
 from repro.core.blocks import BlockState
 from repro.core.watchdog import Watchdog
 
+#: Transient launch rejections retried per call before giving up.
+MAX_LAUNCH_RETRIES = 5
+#: Virtual time one device reset costs (failover, in-place revival and
+#: readmission alike), charged to ``Retry``.
+DEVICE_RESET_S = 20e-3
+#: Kernel-window budget, armed at launch and closed by adsmSync.
+KERNEL_DEADLINE_S = 1.0
+#: Budget for one whole device-loss ladder, nested losses included.
+RECOVERY_DEADLINE_S = 1.0
+
 
 class RecoveryPolicy:
     """Retry, re-materialisation and degradation decisions for one Gmac."""
 
     def __init__(self,
                  max_transfer_retries=8,
-                 max_launch_retries=5,
                  max_oom_retries=4,
                  max_device_recoveries=3,
                  backoff_base_s=20e-6,
                  backoff_factor=2.0,
                  max_backoff_s=5e-3,
-                 device_reset_s=20e-3,
                  degrade_threshold=0.15,
                  degrade_min_attempts=24,
-                 checkpoint_before_call="auto",
                  transfer_deadline_s=2e-3,
-                 kernel_deadline_s=1.0,
-                 recovery_deadline_s=1.0,
-                 readmit_after_s=60e-3,
-                 rebalance_on_readmit=True):
+                 readmit_after_s=60e-3):
         self.max_transfer_retries = max_transfer_retries
-        self.max_launch_retries = max_launch_retries
         self.max_oom_retries = max_oom_retries
         self.max_device_recoveries = max_device_recoveries
         self.backoff_base_s = backoff_base_s
         self.backoff_factor = backoff_factor
         self.max_backoff_s = max_backoff_s
-        self.device_reset_s = device_reset_s
         self.degrade_threshold = degrade_threshold
         self.degrade_min_attempts = degrade_min_attempts
-        self.checkpoint_before_call = checkpoint_before_call
         self.transfer_deadline_s = transfer_deadline_s
-        self.kernel_deadline_s = kernel_deadline_s
-        self.recovery_deadline_s = recovery_deadline_s
         self.readmit_after_s = readmit_after_s
-        self.rebalance_on_readmit = rebalance_on_readmit
         self.gmac = None
         #: Virtual-time deadline supervision; built at attach time on
         #: multi-device machines, None elsewhere (zero cost).
@@ -88,6 +85,9 @@ class RecoveryPolicy:
         #: device index -> virtual time at which it may be readmitted.
         self._lost = {}
         self._kernel_guard = None
+        #: True while the device-loss ladder runs: a loss declared then
+        #: trusts the host checkpoint instead of salvaging.
+        self._recovering = False
         # Observed (not plan-side) fault pressure, driving degradation.
         self.transfer_attempts = 0
         self.transfer_faults = 0
@@ -112,11 +112,8 @@ class RecoveryPolicy:
     def attach(self, gmac):
         self.gmac = gmac
         if getattr(gmac.machine, "multi_device", False):
-            self.watchdog = Watchdog(
-                gmac.machine.clock,
-                accounting=gmac.machine.accounting,
-                on_trip=self.stats["watchdog_trips"].append,
-            )
+            self.watchdog = Watchdog(gmac.machine.clock)
+            self.stats["watchdog_trips"] = self.watchdog.trips
         return self
 
     # -- shared plumbing ------------------------------------------------------
@@ -125,22 +122,22 @@ class RecoveryPolicy:
     def _clock(self):
         return self.gmac.machine.clock
 
+    @contextmanager
     def _internal(self):
-        """Mark the start of recovery-internal data movement.
+        """Bracket recovery-internal data movement.
 
         Recovery fetches and flushes touch device bytes on GMAC's behalf;
         marking them internal keeps the kernel-window race detector from
-        attributing that traffic to the application.  Returns the monitor
-        token for :meth:`_internal_done` (None when no monitor is armed).
+        attributing that traffic to the application.
         """
         monitor = self.gmac.monitor
-        if monitor is not None:
-            monitor.enter_internal()
-        return monitor
-
-    @staticmethod
-    def _internal_done(monitor):
-        if monitor is not None:
+        if monitor is None:
+            yield
+            return
+        monitor.enter_internal()
+        try:
+            yield
+        finally:
             monitor.exit_internal()
 
     def _backoff(self, delay, label):
@@ -148,6 +145,36 @@ class RecoveryPolicy:
         self._clock.advance(delay)
         self.gmac.accounting.charge(Category.RETRY, delay, label=label)
         self.stats["backoff_s"] += delay
+
+    def _retry(self, attempt, errors, limit, stat, label, exhausted,
+               on_failure=None, relieve=None):
+        """Run ``attempt`` until it stops raising ``errors``.
+
+        A failure goes to ``on_failure`` (which may escalate by raising);
+        past ``limit`` retries it becomes :class:`RecoveryExhausted`, else
+        it is counted in ``stats[stat]``, ``relieve`` runs and the clock
+        backs off under ``label``.
+        """
+        delay = self.backoff_base_s
+        failures = 0
+        while True:
+            try:
+                return attempt()
+            except errors as error:
+                failures += 1
+                if on_failure is not None:
+                    on_failure(error)
+                if failures > limit:
+                    raise RecoveryExhausted(
+                        exhausted(failures),
+                        attempts=failures, last_error=error,
+                        timestamp=self._clock.now, resource=error.resource,
+                    ) from error
+                self.stats[stat] += 1
+                if relieve is not None:
+                    relieve()
+                self._backoff(delay, label=label)
+                delay = min(delay * self.backoff_factor, self.max_backoff_s)
 
     @property
     def observed_fault_rate(self):
@@ -168,49 +195,45 @@ class RecoveryPolicy:
         holds, then declare ``device`` lost — after salvaging its
         device-only bytes over the still-intact memory (the link wedged,
         not the die) so the host stays a complete checkpoint.  The raised
-        :class:`DeviceLostError` reaches :meth:`run_call`, which fails the
-        region set over onto survivors.
+        :class:`DeviceLostError` reaches :meth:`recover_device_loss`.
         """
         watchdog = self.watchdog
-        guard = None
-        if watchdog is not None:
-            guard = watchdog.arm(
-                "transfer", self.transfer_deadline_s, label=label
-            )
-        delay = self.backoff_base_s
-        failures = 0
-        while True:
+        guard = None if watchdog is None else watchdog.arm(
+            "transfer", self.transfer_deadline_s, label=label
+        )
+
+        def counted():
             self.transfer_attempts += 1
-            try:
-                result = attempt()
-            except TransferError as error:
-                self.transfer_faults += 1
-                failures += 1
-                if guard is not None and watchdog.expired(guard):
-                    raise self._declare_device_lost(
-                        guard, device, error
-                    ) from error
-                if failures > self.max_transfer_retries:
-                    if guard is not None:
-                        watchdog.disarm(guard)
-                    raise RecoveryExhausted(
-                        f"{label}: still failing after {failures} attempts",
-                        attempts=failures, last_error=error,
-                        timestamp=self._clock.now, resource=error.resource,
-                    ) from error
-                self.stats["transfer_retries"] += 1
-                self._backoff(delay, label=f"backoff:{label}")
-                delay = min(delay * self.backoff_factor, self.max_backoff_s)
-            else:
-                if guard is not None:
-                    watchdog.disarm(guard)
-                return result
+            return attempt()
+
+        def on_failure(error):
+            self.transfer_faults += 1
+            if guard is not None and watchdog.expired(guard):
+                raise self._declare_device_lost(
+                    guard, device, error
+                ) from error
+
+        try:
+            return self._retry(
+                counted, TransferError, self.max_transfer_retries,
+                "transfer_retries", f"backoff:{label}",
+                lambda n: f"{label}: still failing after {n} attempts",
+                on_failure=on_failure,
+            )
+        finally:
+            if guard is not None:
+                watchdog.disarm(guard)
 
     def _declare_device_lost(self, guard, device, error):
-        """Final rung of the transfer escalation ladder."""
+        """Final rung of the transfer escalation ladder.
+
+        Salvages first, except during recovery: the host copy is then the
+        checkpoint being replayed and the device only half re-materialised.
+        """
         self.watchdog.trip(guard, "declare-device-lost")
         context = self.gmac.layer.context_for(device)
-        self._salvage(context)
+        if not self._recovering:
+            self._salvage(context)
         context.alive = False
         return DeviceLostError(
             f"{context.gpu.spec.name} declared lost by watchdog "
@@ -261,25 +284,15 @@ class RecoveryPolicy:
 
     def retry_alloc(self, attempt, protocol, label="cudaMalloc"):
         """Allocate with OOM relief: evict, shrink, back off, retry."""
-        delay = self.backoff_base_s
-        failures = 0
-        while True:
-            try:
-                return attempt()
-            except CudaOutOfMemoryError as error:
-                failures += 1
-                if failures > self.max_oom_retries:
-                    raise RecoveryExhausted(
-                        f"{label}: device OOM persisted after {failures} "
-                        "attempts (eviction and rolling-size shrink did "
-                        "not help)",
-                        attempts=failures, last_error=error,
-                        timestamp=self._clock.now, resource=error.resource,
-                    ) from error
-                self.stats["oom_retries"] += 1
-                protocol.force_evict()
-                self._backoff(delay, label="backoff:oom")
-                delay = min(delay * self.backoff_factor, self.max_backoff_s)
+        return self._retry(
+            attempt, CudaOutOfMemoryError, self.max_oom_retries,
+            "oom_retries", "backoff:oom",
+            lambda n: (
+                f"{label}: device OOM persisted after {n} attempts "
+                "(eviction and rolling-size shrink did not help)"
+            ),
+            relieve=protocol.force_evict,
+        )
 
     # -- kernel calls: launch faults and device loss ---------------------------
 
@@ -295,32 +308,25 @@ class RecoveryPolicy:
         self.maybe_degrade()
         if self._should_checkpoint():
             self.checkpoint()
-        delay = self.backoff_base_s
-        launch_failures = 0
         while True:
             try:
-                completion = gmac._issue_call(kernel, written, args)
+                completion = self._retry(
+                    lambda: gmac._issue_call(kernel, written, args),
+                    LaunchError, MAX_LAUNCH_RETRIES,
+                    "launch_retries", "backoff:launch",
+                    lambda n: (
+                        f"launch of {kernel.name!r}: still rejected after "
+                        f"{n} attempts"
+                    ),
+                )
+                break
             except DeviceLostError as error:
                 self.recover_device_loss(error)
-            except LaunchError as error:
-                launch_failures += 1
-                if launch_failures > self.max_launch_retries:
-                    raise RecoveryExhausted(
-                        f"launch of {kernel.name!r}: still rejected after "
-                        f"{launch_failures} attempts",
-                        attempts=launch_failures, last_error=error,
-                        timestamp=self._clock.now, resource=error.resource,
-                    ) from error
-                self.stats["launch_retries"] += 1
-                self._backoff(delay, label="backoff:launch")
-                delay = min(delay * self.backoff_factor, self.max_backoff_s)
-            else:
-                if self.watchdog is not None:
-                    self._kernel_guard = self.watchdog.arm(
-                        "kernel-window", self.kernel_deadline_s,
-                        label=kernel.name,
-                    )
-                return completion
+        if self.watchdog is not None:
+            self._kernel_guard = self.watchdog.arm(
+                "kernel-window", KERNEL_DEADLINE_S, label=kernel.name,
+            )
+        return completion
 
     def note_sync(self):
         """adsmSync reached: close the kernel-window deadline.
@@ -339,16 +345,16 @@ class RecoveryPolicy:
         else:
             self.watchdog.disarm(guard)
 
-    # -- device loss: failover, readmission, rebalance --------------------------
+    # -- device loss: readmission and rebalance --------------------------------
 
     def maybe_readmit(self):
         """Readmit flapped devices whose quarantine has elapsed.
 
         Checked at call boundaries (the same safe point as degradation).
         A readmitted device comes back empty and is immediately eligible
-        for placement again; when ``rebalance_on_readmit`` is set, one
-        region migrates onto it right away so a recovered device starts
-        absorbing load without waiting for new allocations.
+        for placement again; one region migrates onto it right away so a
+        recovered device starts absorbing load without waiting for new
+        allocations.
         """
         if not self._lost:
             return
@@ -360,12 +366,11 @@ class RecoveryPolicy:
             del self._lost[device]
             context = self.gmac.layer.context_for(device)
             context.revive()
-            self._backoff(self.device_reset_s, label="readmit")
+            self._backoff(DEVICE_RESET_S, label="readmit")
             if self.gmac.placement is not None:
                 self.gmac.placement.mark_alive(device)
             self.stats["readmissions"] += 1
-            if self.rebalance_on_readmit:
-                self._rebalance_onto(device)
+            self._rebalance_onto(device)
 
     def _rebalance_onto(self, device):
         """Migrate one region from the most-loaded survivor to ``device``."""
@@ -382,25 +387,19 @@ class RecoveryPolicy:
             return
         donor = donors[0]
         region = min(loads[donor], key=lambda candidate: candidate.name)
-        monitor = self._internal()
-        try:
+        with self._internal():
             manager.migrate_region(region, device, reason="rebalance")
-        finally:
-            self._internal_done(monitor)
         self.stats["rebalances"] += 1
 
     def _should_checkpoint(self):
         """Whether to pay the checkpoint premium before this call.
 
-        ``checkpoint_before_call`` is a policy knob: ``True`` insures every
-        call, ``False`` none.  The default ``"auto"`` checkpoints only
-        while the installed plan declares a device-loss hazard that has
-        not fired yet — the simulation's stand-in for a deployment flag
-        saying "this accelerator is known to fall off the bus" — so purely
-        transient fault plans do not pay per-call fetches they never need.
+        Only while the installed plan declares a device-loss hazard that
+        has not fired yet — the simulation's stand-in for a deployment
+        flag saying "this accelerator is known to fall off the bus" — so
+        purely transient fault plans do not pay per-call fetches they
+        never need.
         """
-        if self.checkpoint_before_call != "auto":
-            return bool(self.checkpoint_before_call)
         plan = self.gmac.machine.faults
         if plan is None:
             return False
@@ -417,130 +416,133 @@ class RecoveryPolicy:
         """
         manager = self.gmac.manager
         start = self._clock.now
-        monitor = self._internal()
-        try:
+        with self._internal():
             for region in manager.regions():
                 manager.ensure_host_canonical(region, region.interval)
-        finally:
-            self._internal_done(monitor)
         self.stats["checkpoint_s"] += self._clock.now - start
+
+    # -- device loss: the re-entrant ladder ------------------------------------
 
     def recover_device_loss(self, error):
         """Re-materialise the accelerator after a device-lost event.
 
         Valid precisely because the CPU side holds all coherence state in
         ADSM — the paper's asymmetry is what makes the host a complete
-        checkpoint.  Two strategies:
-
-        * **failover** (multi-device machines with a placement policy):
-          the lost device's regions re-home onto survivors chosen by the
-          policy and the system continues degraded; the device becomes
-          eligible for readmission after a quarantine;
-        * **revive in place** (single-device machines, or when no survivor
-          exists): the context is revived (device reset) and every
-          region's allocation is replayed at its old device address.
-
-        Either way, all blocks then flush from the host-canonical copies.
+        checkpoint.  A loss declared during a rung (:meth:`_rematerialize`)
+        climbs the ladder again.  It ends failed over onto a survivor
+        (the lost devices quarantined for readmission), revived in place,
+        or in :class:`RecoveryExhausted` after ``max_device_recoveries``
+        losses or a blown recovery deadline.
         """
-        if self.stats["device_recoveries"] >= self.max_device_recoveries:
-            raise RecoveryExhausted(
-                f"device lost {self.stats['device_recoveries'] + 1} times; "
-                "giving up",
-                attempts=self.stats["device_recoveries"] + 1,
-                last_error=error, timestamp=self._clock.now,
-                resource=error.resource,
-            ) from error
-        self.stats["device_recoveries"] += 1
-        device = getattr(error, "device", None)
-        placement = self.gmac.placement
-        if placement is not None and device is not None:
-            placement.mark_dead(device)
-            if placement.alive_devices():
-                return self._failover(device, error)
-            # Sole device (or last survivor) lost: nothing to fail over
-            # onto, so reset it in place like the single-device path.
-            placement.mark_alive(device)
-        return self._revive_in_place(error)
-
-    def _failover(self, device, error):
-        """Re-home the lost device's regions onto survivors."""
-        gmac = self.gmac
-        manager = gmac.manager
-        placement = gmac.placement
-        self.stats["failovers"] += 1
-        guard = None
-        if self.watchdog is not None:
-            guard = self.watchdog.arm(
-                "recovery", self.recovery_deadline_s,
-                label=f"failover:{device}",
-            )
+        context = self.gmac.layer.context_for(error.device)
+        watchdog = self.watchdog
+        guard = None if watchdog is None else watchdog.arm(
+            "recovery", RECOVERY_DEADLINE_S,
+            label=f"recovery:{context.device_index}",
+        )
         start = self._clock.now
-        monitor = self._internal()
+        self._recovering = True
         try:
-            gmac.layer.materialize_numerics()
-            self._backoff(self.device_reset_s, label="failover")
-            regions = sorted(manager.regions(), key=lambda r: r.device_start)
-            manager.note_coherence("protocol", detail="device-recovery")
-            for region in regions:
-                if region.owner != device:
-                    continue
-                target = placement.pick_survivor(device, region.size)
-                new_start = self.retry_alloc(
-                    lambda: gmac.layer.alloc(region.size, owner=target),
-                    gmac.protocol,
-                )
-                region.rehome(new_start, target)
-            # Everything re-materialises from the host checkpoint — also
-            # the survivors' regions, matching the device-recovery fiat
-            # the model checker applies to the whole address space.
-            for region in regions:
-                for block in region.blocks:
-                    manager.flush_to_device(block, sync=True)
-                    self.stats["blocks_rematerialized"] += 1
-            gmac.protocol.after_device_recovery(regions)
-        finally:
-            self._internal_done(monitor)
-        self.stats["rematerialize_s"] += self._clock.now - start
-        self._lost[device] = self._clock.now + self.readmit_after_s
-        if guard is not None:
-            if self.watchdog.expired(guard):
-                self.watchdog.trip(guard, "abort-recovery")
+            with self._internal():
+                while True:
+                    recovered = self.stats["device_recoveries"]
+                    if recovered >= self.max_device_recoveries:
+                        raise RecoveryExhausted(
+                            f"device lost {recovered + 1} times; giving up",
+                            attempts=recovered + 1, last_error=error,
+                            timestamp=self._clock.now,
+                            resource=error.resource,
+                        ) from error
+                    self.stats["device_recoveries"] += 1
+                    try:
+                        self._rematerialize(context)
+                        break
+                    except DeviceLostError as nested:
+                        error = nested
+                        context = self.gmac.layer.context_for(nested.device)
+            self.stats["rematerialize_s"] += self._clock.now - start
+            placement = self.gmac.placement
+            if placement is not None:
+                for device in placement.dead:
+                    self._lost.setdefault(
+                        device, self._clock.now + self.readmit_after_s
+                    )
+            if guard is not None and watchdog.expired(guard):
+                watchdog.trip(guard, "abort-recovery")
                 raise RecoveryExhausted(
-                    f"failover of device {device} blew its "
-                    f"{self.recovery_deadline_s:g}s recovery deadline",
+                    f"recovery of device {context.device_index} blew its "
+                    f"{RECOVERY_DEADLINE_S:g}s recovery deadline",
                     attempts=self.stats["device_recoveries"],
                     last_error=error, timestamp=self._clock.now,
                     resource=error.resource,
                 ) from error
-            self.watchdog.disarm(guard)
+        finally:
+            self._recovering = False
+            if guard is not None:
+                watchdog.disarm(guard)
 
-    def _revive_in_place(self, error):
-        """Reset the lost device and replay its allocations in place."""
+    def _rematerialize(self, context):
+        """One rung: reset the lost device, re-place, re-flush from host.
+
+        Fails over when the placement policy has a survivor, else revives
+        the device in place.  A nested :class:`DeviceLostError` propagates.
+        """
         gmac = self.gmac
         manager = gmac.manager
-        start = self._clock.now
+        placement = gmac.placement
+        device = context.device_index
+        failover = False
+        dead = ()
+        if placement is not None:
+            placement.mark_dead(device)
+            failover = bool(placement.alive_devices())
+            if not failover:
+                placement.mark_alive(device)
+            dead = placement.dead
         # Pin down device bytes first: numerics launched before the loss
         # replay against the dying memory image (in the eager engine they
         # had already run), so recovery is engine-mode independent.
-        # ``Gpu.reset`` would do this implicitly; being explicit keeps the
-        # recovery sequence readable.
-        monitor = self._internal()
-        try:
-            gmac.layer.materialize_numerics()
-            driver = gmac.layer.context_for(getattr(error, "device", None))
-            driver.revive()
-            self._backoff(self.device_reset_s, label="device-reset")
-            regions = sorted(manager.regions(), key=lambda r: r.device_start)
-            manager.note_coherence("protocol", detail="device-recovery")
-            for region in regions:
-                driver.restore_allocation(region.device_start, region.size)
-                for block in region.blocks:
-                    manager.flush_to_device(block, sync=True)
-                    self.stats["blocks_rematerialized"] += 1
-            gmac.protocol.after_device_recovery(regions)
-        finally:
-            self._internal_done(monitor)
-        self.stats["rematerialize_s"] += self._clock.now - start
+        gmac.layer.materialize_numerics()
+        # Reset before re-homing: the lost device's memory is dropped
+        # before survivors allocate, and an in-place revival starts empty.
+        context.revive()
+        if failover:
+            # Quarantined until maybe_readmit brings it back.
+            context.alive = False
+            self.stats["failovers"] += 1
+        self._backoff(
+            DEVICE_RESET_S, label="failover" if failover else "device-reset"
+        )
+        regions = sorted(manager.regions(), key=lambda r: r.device_start)
+        manager.note_coherence("protocol", detail="device-recovery")
+        # Lost regions re-home onto survivors; those staying on the reset
+        # device replay their allocation at the old address right before
+        # their flush below.
+        in_place = set()
+        for region in regions:
+            if region.owner != device and region.owner not in dead:
+                continue
+            target = device
+            if failover:
+                target = placement.pick_survivor(device, region.size)
+            if target == region.owner:
+                in_place.add(region)
+                continue
+            new_start = self.retry_alloc(
+                lambda: gmac.layer.alloc(region.size, owner=target),
+                gmac.protocol,
+            )
+            region.rehome(new_start, target)
+        # Everything re-materialises from the host checkpoint — also the
+        # survivors' regions, matching the device-recovery fiat the model
+        # checker applies to the whole address space.
+        for region in regions:
+            if region in in_place:
+                context.restore_allocation(region.device_start, region.size)
+            for index in range(region.table.n_blocks):
+                manager.flush_index(region, index, sync=True)
+                self.stats["blocks_rematerialized"] += 1
+        gmac.protocol.after_device_recovery(regions)
 
     # -- degradation -----------------------------------------------------------
 
@@ -581,16 +583,13 @@ class RecoveryPolicy:
         gmac = self.gmac
         manager = gmac.manager
         replacement = PROTOCOLS[target](manager)
-        monitor = self._internal()
-        try:
-            if target == "batch":
-                # Batch-update runs without protections and treats host copies
-                # as always-canonical, so the host must be made whole first.
+        if target == "batch":
+            # Batch-update runs without protections and treats host copies
+            # as always-canonical, so the host must be made whole first.
+            with self._internal():
                 for region in manager.regions():
                     manager.ensure_host_canonical(region, region.interval)
                     manager.set_region_blocks(region, BlockState.DIRTY, Prot.RW)
-        finally:
-            self._internal_done(monitor)
         gmac.protocol = replacement
         manager.protocol = replacement
         manager.note_coherence("protocol", detail=target)

@@ -16,7 +16,10 @@ simply continues degraded.  Scenarios per workload (all on a
 * ``burst-wedge`` — a correlated transfer-fault burst wedges the link;
   the watchdog's transfer deadline expires mid-retry, the device is
   declared lost (after salvaging its device-only bytes), and the region
-  set re-routes through host-canonical state;
+  set re-routes through host-canonical state.  At paper scale the burst
+  also wedges the survivor while it is being re-materialised, so the
+  re-entrant recovery ladder climbs again (no salvage: the host is the
+  checkpoint) until a device holds;
 * ``flapping``    — the execution device dies twice; after a quarantine
   the flapped devices are readmitted and the rebalancer migrates load
   back onto them.
@@ -53,9 +56,9 @@ DEFAULT_DEVICES = 3
 #: (scenario, protocol, FaultPlan kwargs, RecoveryPolicy kwargs or None).
 #: burst-wedge uses the lazy protocol so its first (wedged) transfer is
 #: the release flush inside the call window, where the escalation ladder's
-#: DeviceLostError is caught and failed over; its 4 ms transfer deadline
-#: expires during the exponential backoff well before the 8-retry budget,
-#: so the watchdog — not retry exhaustion — ends the wedge.
+#: DeviceLostError is recovered and the call re-issued; its 4 ms transfer
+#: deadline expires during the exponential backoff well before the
+#: 8-retry budget, so the watchdog — not retry exhaustion — ends the wedge.
 SCENARIOS = (
     ("baseline", "rolling", None, None),
     ("device-lost", "rolling", dict(device_lost_at_launch=1), None),

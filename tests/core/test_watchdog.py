@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.clock import SimClock
-from repro.sim.tracing import Category, TimeAccounting
 from repro.core.watchdog import Watchdog
 
 
-def make_watchdog(with_accounting=True, on_trip=None):
+def make_watchdog():
     clock = SimClock()
-    accounting = TimeAccounting(clock) if with_accounting else None
-    return clock, accounting, Watchdog(
-        clock, accounting=accounting, on_trip=on_trip
-    )
+    return clock, Watchdog(clock)
 
 
 class TestArming:
     def test_arm_sets_expiry_from_now(self):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         clock.advance(2.0)
         deadline = watchdog.arm("transfer", 0.5, label="flush:a")
         assert deadline.armed_at == pytest.approx(2.0)
@@ -28,12 +24,12 @@ class TestArming:
 
     @pytest.mark.parametrize("budget", [0.0, -1e-6])
     def test_non_positive_budget_rejected(self, budget):
-        _, _, watchdog = make_watchdog()
+        _, watchdog = make_watchdog()
         with pytest.raises(ValueError):
             watchdog.arm("transfer", budget)
 
     def test_expired_tracks_the_clock(self):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("kernel-window", 1.0)
         assert not watchdog.expired(deadline)
         clock.advance(0.999)
@@ -42,7 +38,7 @@ class TestArming:
         assert watchdog.expired(deadline)
 
     def test_disarmed_deadline_never_expires(self):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("transfer", 0.1)
         watchdog.disarm(deadline)
         clock.advance(1.0)
@@ -51,33 +47,16 @@ class TestArming:
 
 class TestTripping:
     def test_trip_records_and_notifies(self):
-        seen = []
-        clock, _, watchdog = make_watchdog(on_trip=seen.append)
+        """The trip is returned to the escalating caller and kept in
+        ``trips`` (the list recovery reports as ``watchdog_trips``)."""
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("transfer", 0.25, label="flush:a")
         clock.advance(0.3)
         record = watchdog.trip(deadline, "declare-device-lost")
         assert record["action"] == "declare-device-lost"
         assert record["tripped_at"] == pytest.approx(0.3)
         assert watchdog.trips == [record]
-        assert seen == [record]
         assert not deadline.armed
-
-    def test_wait_out_charges_retry_and_lands_on_expiry(self):
-        clock, accounting, watchdog = make_watchdog()
-        deadline = watchdog.arm("transfer", 1.0)
-        clock.advance(0.25)
-        now = watchdog.wait_out(deadline)
-        assert now == pytest.approx(1.0)
-        assert clock.now == pytest.approx(1.0)
-        assert accounting.totals[Category.RETRY] == pytest.approx(0.75)
-
-    def test_wait_out_past_expiry_is_a_no_op(self):
-        clock, accounting, watchdog = make_watchdog()
-        deadline = watchdog.arm("transfer", 0.1)
-        clock.advance(0.5)
-        watchdog.wait_out(deadline)
-        assert clock.now == pytest.approx(0.5)
-        assert accounting.totals[Category.RETRY] == 0.0
 
 
 class TestNeverEarlyProperty:
@@ -97,7 +76,7 @@ class TestNeverEarlyProperty:
     )
     def test_trip_succeeds_iff_deadline_expired(self, budget, advances,
                                                 action):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("transfer", budget)
         for step in advances:
             clock.advance(step)
@@ -117,11 +96,11 @@ class TestNeverEarlyProperty:
         start=st.floats(min_value=0.0, max_value=5.0,
                         allow_nan=False, allow_infinity=False),
     )
-    def test_wait_out_then_trip_is_always_legal(self, budget, start):
-        """The sanctioned escalation sequence can never fire early."""
-        clock, _, watchdog = make_watchdog()
+    def test_trip_at_expiry_is_always_legal(self, budget, start):
+        """Tripping once the clock reaches the expiry can never fire early."""
+        clock, watchdog = make_watchdog()
         clock.advance(start)
         deadline = watchdog.arm("transfer", budget)
-        watchdog.wait_out(deadline)
+        clock.advance_to(deadline.expires_at)
         record = watchdog.trip(deadline, "declare-device-lost")
         assert record["tripped_at"] >= deadline.expires_at
