@@ -17,6 +17,7 @@ from repro.workloads.parboil.mri_common import (
     KERNEL_SCRATCH,
     q_reference,
     make_voxels,
+    phase_matrix,
 )
 
 CPU_STREAM_RATE = 2.0e9
@@ -115,9 +116,14 @@ class MriQ(Workload):
         app.fs.create(self.VOXELS_FILE, self.voxels.tobytes())
 
     def reference(self):
-        r_q, _ = q_reference(self.k_coords, self.phi_mag, self.voxels)
-        prefix = self._prefix_voxels
-        return {self.OUTPUT: np.abs(r_q[:prefix])}
+        # Only |rQ| over the prefix is checked, so the sin grid is skipped.
+        # The product still spans every voxel: BLAS picks its gemv kernel
+        # by problem size, and a prefix-sized product rounds differently
+        # from the kernel's full one at some sizes (48 samples x 16384
+        # voxels), which would cost the oracle its byte-exactness.
+        arg = phase_matrix(self.k_coords, self.voxels)
+        r_q = self.phi_mag @ np.cos(arg, out=arg)
+        return {self.OUTPUT: np.abs(r_q[:self._prefix_voxels])}
 
     def _output(self, app):
         raw = app.fs.data_of(self.OUTPUT)

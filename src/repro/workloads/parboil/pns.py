@@ -25,35 +25,28 @@ FIRE_INCREMENT = np.int32(12345)
 TOKEN_LIMIT = np.int32(255)
 
 
-def fire_step(places, transition_seed):
-    """One synchronous firing round over the marking vector (int32).
+def oracle_round(state, transition_seed):
+    """One synchronous firing round on ``uint8`` residues (the reference's).
 
-    In-place update chain: int32 addition wraps mod 2^32 and is
-    associative, so folding the scalar terms and reusing one buffer gives
-    bit-identical markings to the naive expression with fewer temporaries.
-    This is the reference's rule, kept independent of the kernel's
-    :func:`fire_sweep`.
+    The int32 rule is ``(x * M + left + INC + seed) & 0x7FFFFFFF & 255``;
+    the two masks are just ``& 255`` and int32 wrap-around is consistent
+    mod 256, so the round is exact on residues with every constant reduced
+    mod 256.  Written apart from :func:`fire_sweep` on purpose: it rotates
+    with ``np.roll`` and returns a fresh array, so a slip in the kernel's
+    in-place neighbour update is not shared by the oracle that checks it.
     """
-    rotated = np.empty_like(places)
-    rotated[0] = places[-1]
-    rotated[1:] = places[:-1]
-    mixed = places * FIRE_MULTIPLIER
-    mixed += rotated
-    mixed += FIRE_INCREMENT + transition_seed
-    mixed &= 0x7FFFFFFF
-    # TOKEN_LIMIT + 1 is a power of two, so the modulo is a mask.
-    mixed &= TOKEN_LIMIT
-    return mixed
+    multiplier = np.uint8(int(FIRE_MULTIPLIER) % 256)
+    increment = np.uint8((int(FIRE_INCREMENT) + int(transition_seed)) % 256)
+    return state * multiplier + np.roll(state, 1) + increment
 
 
 def fire_sweep(marking, seeds):
     """``len(seeds)`` firing rounds computed exactly in ``uint8``.
 
-    Byte-for-byte the low bytes of iterating :func:`fire_step` with each
-    seed in turn: the rule ends in ``& 0x7FFFFFFF & 255``, which is just
-    ``& 255``, and int32 wrap-around is consistent mod 256, so every
-    round is ``(x * (M mod 256) + left + ((INC + seed) mod 256)) mod 256``
-    on the residues alone.  The unsafe ``astype`` narrowing wraps mod 256,
+    Byte-for-byte the low bytes of iterating the int32 firing rule with
+    each seed in turn: every round is
+    ``(x * (M mod 256) + left + ((INC + seed) mod 256)) mod 256`` on the
+    residues alone.  The unsafe ``astype`` narrowing wraps mod 256,
     so any int32 marking is a valid input.  Rounds ping-pong between two
     ``uint8`` buffers (a quarter of the int32 memory traffic); the final
     residues are returned for the caller to widen where it stores them.
@@ -190,15 +183,16 @@ class PetriNet(Workload):
         return np.int32(int(self.transitions[iteration % 1024]) & 0xFFFF)
 
     def reference(self):
-        marking = self.initial.copy()
+        # The initial marking lies in [0, 64), so its residues are itself.
+        marking = self.initial.astype(np.uint8)
         samples = []
         for iteration in range(self.iterations):
-            marking = fire_step(marking, self._seed_for(iteration))
+            marking = oracle_round(marking, self._seed_for(iteration))
             if (iteration + 1) % self.sample_interval == 0:
                 samples.append(int(marking[:256].sum()) & 0x7FFFFFFF)
         return {
             "samples": np.asarray(samples, dtype=np.int64),
-            "final_marking": marking,
+            "final_marking": marking.astype(np.int32),
         }
 
     def _sample(self, app, raw_stats):

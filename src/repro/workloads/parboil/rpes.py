@@ -17,16 +17,30 @@ CPU_STREAM_RATE = 2.0e9
 
 
 def rys_term(params, root):
-    """One quadrature term: a cubic polynomial of the root per integral."""
+    """One quadrature term: a cubic polynomial of the root per integral.
+
+    Horner's rule ``p0 + t*(p1 + t*(p2 + t*p3))`` evaluated in place in
+    one fresh float32 array: the same operations in the same order, and
+    IEEE addition and multiplication are commutative, so the bytes match
+    the allocating expression.
+    """
     p0, p1, p2, p3 = params.reshape(4, -1)
     t = np.float32(root)
-    return (p0 + t * (p1 + t * (p2 + t * p3))).astype(np.float32)
+    term = np.multiply(p3, t)
+    term += p2
+    term *= t
+    term += p1
+    term *= t
+    term += p0
+    return term
 
 
 def _rpes_fn(gpu, params, integrals, n_integrals, root, weight):
     table = gpu.view(params, "f4", 4 * n_integrals)
     acc = gpu.view(integrals, "f4", n_integrals)
-    acc += np.float32(weight) * rys_term(table, root)
+    term = rys_term(table, root)
+    term *= np.float32(weight)
+    acc += term
 
 
 #: ~10 flops and 20 bytes of traffic per integral per root.
@@ -73,7 +87,9 @@ class RysPolynomial(Workload):
     def reference(self):
         acc = np.zeros(self.n_integrals, dtype=np.float32)
         for root, weight in zip(self.roots, self.weights):
-            acc += weight * rys_term(self.params, root)
+            term = rys_term(self.params, root)
+            term *= weight
+            acc += term
         return {"integrals": acc}
 
     def run_cuda(self, app):

@@ -32,22 +32,44 @@ FACE_WEIGHT = np.float32(0.1)
 CPU_STREAM_RATE = 2.0e9
 
 
+#: z-planes of the interior per slab: a slab's two scratch buffers stay
+#: cache-resident while its seven stencil terms accumulate into them.
+SLAB_PLANES = 4
+
+
 def stencil_reference_step(volume, out=None):
     """One 7-point stencil step (pure numpy; boundary cells pass through).
 
     ``out`` (which must not alias ``volume``) receives the result in
-    place, saving the full-volume copy the allocating path pays.
+    place, saving the full-volume allocation.  The interior is computed
+    slab by slab, accumulating in place into two slab-sized scratch
+    buffers: per element this is exactly
+    ``CENTER * c + FACE * (((((zm + zp) + ym) + yp) + xm) + xp)``, the
+    same operations in the same order as the whole-volume expression
+    (IEEE addition and multiplication are commutative), so the result is
+    bit-identical while the temporaries stay small.
     """
     if out is None:
-        out = volume.copy()
-    else:
-        np.copyto(out, volume)
-    interior = CENTER_WEIGHT * volume[1:-1, 1:-1, 1:-1] + FACE_WEIGHT * (
-        volume[:-2, 1:-1, 1:-1] + volume[2:, 1:-1, 1:-1]
-        + volume[1:-1, :-2, 1:-1] + volume[1:-1, 2:, 1:-1]
-        + volume[1:-1, 1:-1, :-2] + volume[1:-1, 1:-1, 2:]
-    )
-    out[1:-1, 1:-1, 1:-1] = interior
+        out = np.empty_like(volume)
+    for face in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1],
+                 np.s_[:, :, 0], np.s_[:, :, -1]):
+        out[face] = volume[face]
+    faces = np.empty_like(volume[1:-1, 1:-1, 1:-1][:SLAB_PLANES])
+    centre = np.empty_like(faces)
+    n_z = volume.shape[0]
+    for z0 in range(1, n_z - 1, SLAB_PLANES):
+        z1 = min(z0 + SLAB_PLANES, n_z - 1)
+        acc = faces[:z1 - z0]
+        np.add(volume[z0 - 1:z1 - 1, 1:-1, 1:-1],
+               volume[z0 + 1:z1 + 1, 1:-1, 1:-1], out=acc)
+        acc += volume[z0:z1, :-2, 1:-1]
+        acc += volume[z0:z1, 2:, 1:-1]
+        acc += volume[z0:z1, 1:-1, :-2]
+        acc += volume[z0:z1, 1:-1, 2:]
+        acc *= FACE_WEIGHT
+        weighted = np.multiply(volume[z0:z1, 1:-1, 1:-1], CENTER_WEIGHT,
+                               out=centre[:z1 - z0])
+        np.add(weighted, acc, out=out[z0:z1, 1:-1, 1:-1])
     return out
 
 
@@ -124,11 +146,12 @@ class Stencil3D(Workload):
 
     def reference(self):
         volume = self.initial.copy()
+        spare = np.empty_like(volume)
         outputs = {}
         centre = self.n // 2
         for step in range(self.steps):
             volume[centre, centre, centre] += self.source_value
-            volume = stencil_reference_step(volume)
+            volume, spare = stencil_reference_step(volume, out=spare), volume
             if (step + 1) % self.dump_interval == 0:
                 outputs[self._dump_path(step + 1)] = volume.copy()
         return outputs

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments import common
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ExperimentExecutor, expand
+from repro.experiments.registry import REGISTRY
 from repro.experiments.pool import (
     PersistentWorkerPool, StreamingMerge, WorkerCrash, distinct_configs,
     rebuild_memoized_inputs,
@@ -188,6 +189,16 @@ class TestSpawnRebuild:
             pooled = _engine_run(pool, specs)
         assert _canonical(pooled) == _canonical(serial)
         assert pool.counters.get("worker_rebuilds") == 2 * len(configs)
+
+    @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
+    def test_every_registered_config_builds(self, experiment_id):
+        """Set-up builds every input and oracle; none fails into the sweep.
+
+        The rebuild swallows exceptions, so an oracle that started raising
+        would silently move its cost from set-up into the first spec.
+        """
+        configs = distinct_configs(expand([experiment_id], quick=True))
+        assert rebuild_memoized_inputs(configs) == len(configs)
 
     def test_rebuild_tolerates_broken_configs(self):
         built = rebuild_memoized_inputs(

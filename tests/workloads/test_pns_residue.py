@@ -1,4 +1,4 @@
-"""The pns residue sweep: exact against int32, and checked by an independent oracle."""
+"""The pns residue engines: exact against int32, and checked by an independent oracle."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,48 @@ from hypothesis import example, given, settings, strategies as st
 from repro.hw.machine import reference_system
 from repro.workloads.base import ValueMemo
 from repro.workloads.parboil import pns
-from repro.workloads.parboil.pns import PetriNet, fire_step, fire_sweep
+from repro.workloads.parboil.pns import (
+    FIRE_INCREMENT, FIRE_MULTIPLIER, TOKEN_LIMIT, PetriNet, fire_sweep,
+    oracle_round,
+)
 
 INT32 = st.integers(-(2 ** 31), 2 ** 31 - 1)
 
 
+def fire_step(places, transition_seed):
+    """One synchronous firing round over the marking vector (int32).
+
+    The firing rule as first written, the ground truth both residue
+    engines are tested against.  In-place update chain: int32 addition
+    wraps mod 2^32 and is associative, so folding the scalar terms and
+    reusing one buffer gives the naive expression's markings.
+    """
+    rotated = np.empty_like(places)
+    rotated[0] = places[-1]
+    rotated[1:] = places[:-1]
+    mixed = places * FIRE_MULTIPLIER
+    mixed += rotated
+    mixed += FIRE_INCREMENT + transition_seed
+    mixed &= 0x7FFFFFFF
+    # TOKEN_LIMIT + 1 is a power of two, so the modulo is a mask.
+    mixed &= TOKEN_LIMIT
+    return mixed
+
+
 def _int32_rounds(marking, seeds):
-    """K iterations of the int32 firing rule (the reference's loop)."""
+    """K iterations of the int32 firing rule."""
     state = marking
     with np.errstate(over="ignore"):
         for seed in seeds:
             state = fire_step(state, np.int32(seed))
+    return state
+
+
+def _oracle_rounds(marking, seeds):
+    """K iterations of the reference's residue round."""
+    state = marking.astype(np.uint8)
+    for seed in seeds:
+        state = oracle_round(state, np.int32(seed))
     return state
 
 
@@ -33,10 +64,11 @@ class TestResidueSweep:
     def test_matches_int32_fire_step(self, marking, seeds):
         marking = np.asarray(marking, dtype=np.int32)
         seeds = np.asarray(seeds, dtype=np.int32)
-        residues = fire_sweep(marking, seeds)
-        assert residues.dtype == np.uint8
-        expected = _int32_rounds(marking, seeds)
-        assert residues.astype(np.int32).tobytes() == expected.tobytes()
+        expected = _int32_rounds(marking, seeds).tobytes()
+        for engine in (fire_sweep, _oracle_rounds):
+            residues = engine(marking, seeds)
+            assert residues.dtype == np.uint8
+            assert residues.astype(np.int32).tobytes() == expected
 
     def test_input_marking_is_not_modified(self):
         marking = np.arange(-5, 5, dtype=np.int32)
@@ -48,6 +80,30 @@ class TestResidueSweep:
         marking = np.full(4, 255, dtype=np.int32)
         with np.errstate(all="raise"):
             fire_sweep(marking, np.asarray([2 ** 16 - 1] * 3, dtype=np.int32))
+            _oracle_rounds(marking, [2 ** 16 - 1] * 3)
+
+
+def test_paper_size_reference_matches_int32_trajectory():
+    """The paper preset's reference, byte for byte against int32 rounds."""
+    workload = PetriNet()
+    assert (workload.n_places, workload.iterations,
+            workload.sample_interval) == (2_097_152, 160, 16)
+    marking = workload.initial.copy()
+    samples = []
+    for iteration in range(workload.iterations):
+        marking = fire_step(marking, workload._seed_for(iteration))
+        if (iteration + 1) % workload.sample_interval == 0:
+            samples.append(int(marking[:256].sum()) & 0x7FFFFFFF)
+    expected = {
+        "samples": np.asarray(samples, dtype=np.int64),
+        "final_marking": marking,
+    }
+    produced = workload.reference()
+    assert produced.keys() == expected.keys()
+    for name, array in expected.items():
+        assert produced[name].dtype == array.dtype
+        assert produced[name].shape == array.shape
+        assert produced[name].tobytes() == array.tobytes()
 
 
 def _sweep_without_wraparound(marking, seeds):
