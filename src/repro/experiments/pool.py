@@ -12,9 +12,9 @@ back through a pipe.  This engine avoids both costs:
   ``multiprocessing.shared_memory`` slab; it pickles the outcome straight
   into the slab through the :mod:`repro.util.buffers` view machinery and
   sends only a small control message (sequence number, payload size, host
-  seconds) on the result queue.  The parent unpickles directly from a
+  seconds) on its own result pipe.  The parent unpickles directly from a
   slab view; outcome bytes never cross a pipe.  An outcome larger than
-  the slab falls back to riding the control queue (counted, never wrong);
+  the slab falls back to riding the result pipe (counted, never wrong);
 * **dispatch is parent-driven, one spec at a time** — the executor hands
   this engine a cost-ordered ``(seq, spec)`` list (longest expected
   first); each worker holds exactly one in-flight spec, and the next
@@ -41,10 +41,10 @@ import collections
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import time
 
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_readable
 
 from repro.sim.tracing import HostCounters
 from repro.util.buffers import as_byte_view, copy_into
@@ -53,7 +53,7 @@ from repro.util.buffers import as_byte_view, copy_into
 #: default leaves ~1000x headroom before the inline-fallback path.
 DEFAULT_SLAB_BYTES = 4 << 20
 
-#: How long the supervisor waits on the control queue before checking
+#: How long the supervisor waits on the result pipes before checking
 #: worker liveness (host seconds; a crashed worker is noticed within one
 #: interval, which is negligible against spec execution times).
 _SUPERVISE_INTERVAL_S = 0.05
@@ -103,7 +103,7 @@ def rebuild_memoized_inputs(configs):
 
 
 def _portable_error(error):
-    """An exception safe to send over the control queue."""
+    """An exception safe to send over a result pipe."""
     try:
         pickle.loads(pickle.dumps(error))
         return error
@@ -117,12 +117,13 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
 
     Control messages are small tuples ``(kind, worker_id, token, ...)``:
     ``ready`` (startup, carries the memo-rebuild count), ``done`` (payload
-    in the slab), ``inline`` (payload rode the queue: slab too small),
-    ``error`` (spec raised).  ``token`` is this incarnation's spawn serial
-    — the parent drops messages whose token no longer matches the worker
-    at this id, so a crashed worker's last message can never be read
-    against its replacement's slab.  Host-seconds ride along for the
-    cost-aware scheduler's timing records.
+    in the slab), ``inline`` (payload rode the pipe: slab too small),
+    ``error`` (spec raised).  ``token`` is this incarnation's spawn
+    serial.  ``results`` is this incarnation's own pipe, written
+    synchronously: a worker that dies at any point (even mid-message)
+    wedges no other worker's results, and its last message can never be
+    read against its replacement's slab.  Host-seconds ride along for
+    the cost-aware scheduler's timing records.
     """
     from repro.util.hostalloc import retain_arena
     from repro.analysis.report import REPORT_TOKEN_ENV
@@ -140,7 +141,7 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
         rebuilt = rebuild_memoized_inputs(configs)
     slab = shared_memory.SharedMemory(name=slab_name)
     try:
-        results.put(("ready", worker_id, token, rebuilt))
+        results.send(("ready", worker_id, token, rebuilt))
         while True:
             task = tasks.get()
             if task is None:
@@ -150,7 +151,7 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
             try:
                 outcome = spec.execute()
             except Exception as error:
-                results.put(
+                results.send(
                     ("error", worker_id, token, seq, _portable_error(error))
                 )
                 continue
@@ -158,11 +159,11 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
             payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
             if len(payload) <= slab_size:
                 copy_into(slab.buf, payload)
-                results.put(
+                results.send(
                     ("done", worker_id, token, seq, len(payload), host_s)
                 )
             else:
-                results.put(
+                results.send(
                     ("inline", worker_id, token, seq, payload, host_s)
                 )
     finally:
@@ -215,11 +216,12 @@ class StreamingMerge:
 class _Worker:
     """Parent-side record of one live worker."""
 
-    __slots__ = ("process", "tasks", "slab", "token", "inflight")
+    __slots__ = ("process", "tasks", "results", "slab", "token", "inflight")
 
-    def __init__(self, process, tasks, slab, token):
+    def __init__(self, process, tasks, results, slab, token):
         self.process = process
         self.tasks = tasks
+        self.results = results  # read end of the worker's result pipe
         self.slab = slab
         self.token = token
         self.inflight = None  # (seq, spec) currently executing, or None
@@ -236,7 +238,6 @@ class PersistentWorkerPool:
         self.slab_size = slab_size or DEFAULT_SLAB_BYTES
         self.counters = counters if counters is not None else HostCounters()
         self._workers = {}
-        self._results = None
         self._configs = ()
         self._spawn_serial = 0
         self.started = False
@@ -253,26 +254,29 @@ class PersistentWorkerPool:
         if self.started:
             return
         self._configs = tuple(configs)
-        self._results = self.context.Queue()
         for worker_id in range(self.jobs):
             self._spawn(worker_id)
         self.started = True
 
     def _spawn(self, worker_id):
         tasks = self.context.SimpleQueue()
+        results, sink = self.context.Pipe(duplex=False)
         slab = shared_memory.SharedMemory(create=True, size=self.slab_size)
         self._spawn_serial += 1
         token = self._spawn_serial
         process = self.context.Process(
             target=_worker_main,
-            args=(worker_id, token, tasks, self._results, slab.name,
+            args=(worker_id, token, tasks, sink, slab.name,
                   self.slab_size, self.start_method, self._configs),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
         process.start()
+        # Only the worker holds the write end, so its exit reads as EOF.
+        sink.close()
         self.counters.increment("workers_spawned")
-        self._workers[worker_id] = _Worker(process, tasks, slab, token)
+        self._workers[worker_id] = _Worker(process, tasks, results, slab,
+                                           token)
 
     def close(self):
         """Shut the pool down; safe to call repeatedly."""
@@ -291,10 +295,6 @@ class PersistentWorkerPool:
                 worker.process.join(timeout=1.0)
             self._retire(worker)
         self._workers.clear()
-        if self._results is not None:
-            self._results.close()
-            self._results.join_thread()
-            self._results = None
         self.started = False
         if os.environ.get("REPRO_SANITIZE_REPORT"):
             # All workers are down: fold their per-incarnation reports
@@ -305,7 +305,7 @@ class PersistentWorkerPool:
 
     @staticmethod
     def _retire(worker):
-        """Release one worker's parent-side resources (slab, queue)."""
+        """Release one worker's parent-side resources (slab, pipes)."""
         try:
             worker.slab.close()
         except (OSError, BufferError):
@@ -314,10 +314,11 @@ class PersistentWorkerPool:
             worker.slab.unlink()
         except (OSError, FileNotFoundError):
             pass
-        try:
-            worker.tasks.close()
-        except (OSError, ValueError):
-            pass
+        for channel in (worker.tasks, worker.results):
+            try:
+                channel.close()
+            except (OSError, ValueError):
+                pass
 
     def __enter__(self):
         return self
@@ -347,51 +348,55 @@ class PersistentWorkerPool:
         busy_s = 0.0
         self._fill_idle(pending)
         while landed < total:
-            try:
-                message = self._results.get(timeout=_SUPERVISE_INTERVAL_S)
-            except queue_module.Empty:
+            workers = {w.results: w for w in self._workers.values()}
+            ready = wait_readable(list(workers), _SUPERVISE_INTERVAL_S)
+            if not ready:
                 self._supervise(pending, requeues)
                 continue
-            self.counters.increment("control_messages")
-            kind, worker_id, token = message[0], message[1], message[2]
-            worker = self._workers.get(worker_id)
-            if worker is None or worker.token != token:
-                # A retired incarnation's last words.  Its slab is gone and
-                # its in-flight spec was already requeued at retirement, so
-                # the replacement execution covers it; drop the message.
-                self.counters.increment("stale_messages")
-                continue
-            if kind == "ready":
-                self.counters.increment("worker_rebuilds", message[3])
-                continue
-            if kind == "error":
-                error = message[4]
-                self.close()
-                raise error
-            _, _, _, seq, payload, host_s = message
-            if kind == "done":
-                # Zero-copy recall: unpickle straight off the slab view.
-                # The slice is released immediately — a lingering export
-                # would block closing the slab when a worker is retired.
-                view = as_byte_view(worker.slab.buf)[:payload]
+            for pipe in ready:
+                worker = workers[pipe]
                 try:
-                    outcome = pickle.loads(view)
-                finally:
-                    view.release()
-                self.counters.increment("plane_payloads")
-                self.counters.increment("plane_bytes", payload)
-            else:  # "inline": the outcome outgrew the slab
-                outcome = pickle.loads(payload)
-                self.counters.increment("plane_inline_fallbacks")
-                self.counters.increment("plane_bytes", len(payload))
-            busy_s += host_s
-            if worker.inflight is not None and worker.inflight[0] == seq:
-                worker.inflight = None
-                self._assign_next(worker, pending)
-            if on_result(seq, outcome, host_s):
-                landed += 1
-            else:
-                self.counters.increment("duplicate_results")
+                    message = pipe.recv()
+                except (EOFError, OSError):
+                    # The worker exited, perhaps mid-message; only its own
+                    # pipe is affected.  Reap it, then respawn and requeue.
+                    worker.process.join()
+                    self._supervise(pending, requeues)
+                    continue
+                self.counters.increment("control_messages")
+                kind = message[0]
+                if kind == "ready":
+                    self.counters.increment("worker_rebuilds", message[3])
+                    continue
+                if kind == "error":
+                    error = message[4]
+                    self.close()
+                    raise error
+                _, _, _, seq, payload, host_s = message
+                if kind == "done":
+                    # Zero-copy recall: unpickle straight off the slab view.
+                    # The slice is released immediately — a lingering
+                    # export would block closing the slab when a worker is
+                    # retired.
+                    view = as_byte_view(worker.slab.buf)[:payload]
+                    try:
+                        outcome = pickle.loads(view)
+                    finally:
+                        view.release()
+                    self.counters.increment("plane_payloads")
+                    self.counters.increment("plane_bytes", payload)
+                else:  # "inline": the outcome outgrew the slab
+                    outcome = pickle.loads(payload)
+                    self.counters.increment("plane_inline_fallbacks")
+                    self.counters.increment("plane_bytes", len(payload))
+                busy_s += host_s
+                if worker.inflight is not None and worker.inflight[0] == seq:
+                    worker.inflight = None
+                    self._assign_next(worker, pending)
+                if on_result(seq, outcome, host_s):
+                    landed += 1
+                else:
+                    self.counters.increment("duplicate_results")
         wall_s = time.perf_counter() - dispatch_started  # sanitizer: allow[R003]
         # Dispatch overhead: parent wall-clock across all worker slots not
         # covered by spec execution (queue latency, unpickling, idle tails).
