@@ -179,7 +179,30 @@ class RunSpec:
         raise KeyError(f"unknown machine kind {self.machine!r}")
 
     def execute(self):
-        """Run this spec on a fresh machine; returns a :class:`SpecOutcome`."""
+        """Run this spec on a fresh machine; returns a :class:`SpecOutcome`.
+
+        The run's object graph is cyclic (signal handlers, observer hooks,
+        protocol and recovery back-pointers), so only the cycle collector
+        frees its tens of megabytes of backing buffers.  An automatic
+        collection in the middle of the run would promote part of the
+        still-live graph to the oldest generation, where it lingers until
+        a full collection.  So the automatic collector is paused for the
+        run, and one young-generation sweep runs once :meth:`_run`'s frame
+        — and with it every reference to the graph — is gone.  With the
+        retained malloc arena (:mod:`repro.util.hostalloc`) the next run
+        then reuses the freed, warm pages.  A full ``gc.collect()`` would
+        walk the memo caches too and costs more than it saves.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run()
+        finally:
+            gc.collect(1)
+            if enabled:
+                gc.enable()
+
+    def _run(self):
         machine = self._build_machine()
         plan = None
         if self.fault_plan is not None:
@@ -212,7 +235,7 @@ class RunSpec:
         recovery_stats = {}
         if gmac is not None and gmac.recovery is not None:
             recovery_stats = copy.deepcopy(gmac.recovery.stats)
-        outcome = SpecOutcome(
+        return SpecOutcome(
             spec=self,
             workload=result.workload,
             mode=result.mode,
@@ -232,18 +255,6 @@ class RunSpec:
                 gmac.manager.peer_bytes if gmac is not None else 0
             ),
         )
-        # The run's object graph is cyclic (signal handlers, observer
-        # hooks, protocol back-pointers), so its tens of megabytes of
-        # backing buffers otherwise linger until a full garbage collection
-        # — and every subsequent run re-pays minor page faults for its
-        # whole working set.  Dropping the graph here and sweeping the
-        # young generations frees the buffers deterministically; with the
-        # retained malloc arena (:mod:`repro.util.hostalloc`) the next
-        # run then reuses warm pages.  A full ``gc.collect()`` would walk
-        # the memo caches too and costs more than it saves.
-        del result, workload, gmac, machine, plan
-        gc.collect(1)
-        return outcome
 
     @staticmethod
     def _aggregate_link_bytes(machine):

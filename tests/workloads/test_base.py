@@ -51,8 +51,40 @@ class TestVerification:
         def reference(self):
             return {"out": np.zeros(8)}
 
+    class OneUlpOff(Lying):
+        name = "one-ulp-off"
+
+        def run_cuda(self, app):
+            out = np.linspace(0.5, 2.0, 4, dtype=np.float32)
+            out[2] = np.nextafter(out[2], np.float32(np.inf))
+            return {"out": out}
+
+        def reference(self):
+            return {"out": np.linspace(0.5, 2.0, 4, dtype=np.float32)}
+
+    class Widened(OneUlpOff):
+        name = "widened"
+
+        def run_cuda(self, app):
+            return {"out": self.reference()["out"].astype(np.float64)}
+
+    class Exact(OneUlpOff):
+        name = "exact"
+
+        def run_cuda(self, app):
+            return {"out": self.reference()["out"].copy()}
+
     def test_wrong_values_fail_verification(self):
         assert self.Lying().execute(mode="cuda").verified is False
+
+    def test_one_ulp_difference_fails_verification(self):
+        assert self.OneUlpOff().execute(mode="cuda").verified is False
+
+    def test_equal_values_of_another_dtype_fail_verification(self):
+        assert self.Widened().execute(mode="cuda").verified is False
+
+    def test_byte_equal_result_verifies(self):
+        assert self.Exact().execute(mode="cuda").verified is True
 
     def test_missing_output_fails(self):
         assert self.Incomplete().execute(mode="cuda").verified is False

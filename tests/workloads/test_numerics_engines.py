@@ -1,16 +1,20 @@
 """In-place numerics engines are bit-identical to the plain expressions.
 
-The stencil step, the Rys Horner term and the mri-q oracle each compute
-the same operations in the same order as the whole-array expressions
-they replace, just with fewer and smaller temporaries.  These tests keep
-the plain expressions as fixtures and compare bytes.
+The stencil step, the Rys Horner term, the two-grid MRI phase terms and
+the mri-q oracle each compute the same operations in the same order as
+the whole-array expressions they replace, just with fewer and smaller
+temporaries.  These tests keep the plain expressions as fixtures and
+compare bytes.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments.common import PAPER_PARAMS, QUICK_PARAMS
-from repro.workloads.parboil.mri_common import PhaseScratch, q_reference
+from repro.workloads.parboil.mri_common import (
+    fhd_reference, phase_matrix, q_reference,
+)
+from repro.workloads.parboil.mrifhd import MriFhd
 from repro.workloads.parboil.mriq import MriQ
 from repro.workloads.parboil.rpes import RysPolynomial, rys_term
 from repro.workloads.stencil3d import (
@@ -68,16 +72,50 @@ class TestInPlaceHorner:
                 workload.params, root).tobytes()
 
 
+def three_grid_terms(k_coords, voxels):
+    """cos and sin of the phase grid, each in a fresh grid of its own."""
+    arg = phase_matrix(k_coords, voxels)
+    return np.cos(arg), np.sin(arg)
+
+
+SCALES = pytest.mark.parametrize("scale", [QUICK_PARAMS, PAPER_PARAMS],
+                                 ids=["quick", "paper"])
+
+
 class TestMriQOracle:
-    @pytest.mark.parametrize("scale", [QUICK_PARAMS, PAPER_PARAMS],
-                             ids=["quick", "paper"])
+    @SCALES
     def test_matches_full_q_reference_prefix(self, scale):
         workload = MriQ(**scale["mri-q"])
         prefix = workload._prefix_voxels
         produced = workload.reference()[MriQ.OUTPUT]
-        args = (workload.k_coords, workload.phi_mag, workload.voxels)
-        for scratch in (None, PhaseScratch()):
-            r_q, _ = q_reference(*args, scratch=scratch)
-            expected = np.abs(r_q[:prefix])
-            assert produced.dtype == expected.dtype == np.float32
-            assert produced.tobytes() == expected.tobytes()
+        r_q, _ = q_reference(workload.k_coords, workload.phi_mag,
+                             workload.voxels)
+        expected = np.abs(r_q[:prefix])
+        assert produced.dtype == expected.dtype == np.float32
+        assert produced.tobytes() == expected.tobytes()
+
+
+class TestTwoGridPhaseTerms:
+    @SCALES
+    def test_q_reference_bit_identical(self, scale):
+        workload = MriQ(**scale["mri-q"])
+        phi = workload.phi_mag
+        cos_arg, sin_arg = three_grid_terms(workload.k_coords,
+                                            workload.voxels)
+        produced = q_reference(workload.k_coords, phi, workload.voxels)
+        for value, expected in zip(produced, (phi @ cos_arg, phi @ sin_arg)):
+            assert value.dtype == expected.dtype == np.float32
+            assert value.tobytes() == expected.tobytes()
+
+    @SCALES
+    def test_fhd_reference_bit_identical(self, scale):
+        workload = MriFhd(**scale["mri-fhd"])
+        coords = workload.samples[:, :3]
+        phi_r, phi_i = workload.samples[:, 3], workload.samples[:, 4]
+        cos_arg, sin_arg = three_grid_terms(coords, workload.voxels)
+        produced = fhd_reference(coords, phi_r, phi_i, workload.voxels)
+        expected = (phi_r @ cos_arg + phi_i @ sin_arg,
+                    phi_i @ cos_arg - phi_r @ sin_arg)
+        for value, plain in zip(produced, expected):
+            assert value.dtype == plain.dtype == np.float32
+            assert value.tobytes() == plain.tobytes()
